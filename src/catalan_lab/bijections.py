@@ -299,7 +299,8 @@ def peak_decompose(p: Path) -> PeakVector:
         (runs[i][1] - 1, runs[i + 1][1] - 1) for i in range(0, len(runs), 2)
     )
     pv = PeakVector(pairs)
-    assert pv.k == k
+    if pv.k != k:
+        raise RuntimeError(f"peak vector counts {pv.k} DDU factors, path has {k}")
     return pv
 
 

@@ -263,9 +263,8 @@ def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityR
             + binomial(2 * n - 1, n - 2)
         )
         short = 2 * binomial(2 * n, n - 1) + catalan(n)
-        if mid != short:
-            return IdentityResult(lhs, -1)
-        return IdentityResult(lhs, mid)
+        # equal to lhs only when lhs, mid and short all agree
+        return IdentityResult(lhs, short if mid == lhs else mid)
     if ident is IdentityId.SYM_VALLEY_MARK_SUM:
         lhs = sum(_marked_high_up_count(n - l - 1) for l in range(1, max(n - 2, 1)))
         rhs = _sym_valley_total(n)

@@ -304,17 +304,17 @@ def stat_value(w: Word, s: StatId) -> int:
 
 @dataclass
 class SweepTotals:
-    """Totals of every tracked statistic over all words of one length."""
+    """Totals of every tracked statistic over all words of one length.
+
+    ``patterns`` maps each pattern kind to its totals keyed by ell.
+    """
 
     n: int
     words: int
     ascents: int
     descents: int
     area: int
-    sym_valley: dict[int, int]
-    ell_valley: dict[int, int]
-    sym_peak: dict[int, int]
-    ell_peak: dict[int, int]
+    patterns: dict[StatKind, dict[int, int]]
 
     @property
     def levels(self) -> int:
@@ -325,10 +325,7 @@ class SweepTotals:
             raise ValueError("cannot merge totals for different lengths")
 
         def merged(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-            out = dict(a)
-            for key, v in b.items():
-                out[key] = out.get(key, 0) + v
-            return out
+            return {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
 
         return SweepTotals(
             self.n,
@@ -336,21 +333,13 @@ class SweepTotals:
             self.ascents + other.ascents,
             self.descents + other.descents,
             self.area + other.area,
-            merged(self.sym_valley, other.sym_valley),
-            merged(self.ell_valley, other.ell_valley),
-            merged(self.sym_peak, other.sym_peak),
-            merged(self.ell_peak, other.ell_peak),
+            {kind: merged(t, other.patterns[kind]) for kind, t in self.patterns.items()},
         )
 
     def total(self, s: StatId) -> int:
         kind = s.kind
         if kind in PATTERN_KINDS:
-            table = {
-                StatKind.SYM_VALLEY: self.sym_valley,
-                StatKind.ELL_VALLEY: self.ell_valley,
-                StatKind.SYM_PEAK: self.sym_peak,
-                StatKind.ELL_PEAK: self.ell_peak,
-            }[kind]
+            table = self.patterns[kind]
             if s.ell is None:
                 return sum(table.values())
             return table.get(s.ell, 0)
@@ -373,16 +362,60 @@ class SweepTotals:
         raise ValueError(f"unknown statistic {s!r}")
 
 
-def _bump(table: dict[int, int], key: int) -> None:
-    table[key] = table.get(key, 0) + 1
+# Pattern kinds in the index order of the transition's completion tuples;
+# the sweep keys by index because StatKind hashes in Python code.
+_SWEPT_PATTERNS = (
+    StatKind.SYM_VALLEY,
+    StatKind.ELL_VALLEY,
+    StatKind.SYM_PEAK,
+    StatKind.ELL_PEAK,
+)
+
+# (c, ascent, descent, completed pattern indices, next x, next b, run extends)
+_Step = tuple[tuple[int, bool, bool, tuple[int, ...], int, int, bool], ...]
+# (letters, letter sum, ascents, descents, ((pattern index, completions), ...))
+_Leaf = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 
-def _unbump(table: dict[int, int], key: int) -> None:
-    v = table[key] - 1
-    if v:
-        table[key] = v
-    else:
-        del table[key]
+def _summarize(step: _Step) -> _Leaf:
+    """What the letters of ``step`` add when each one ends a word."""
+    done = [0] * len(_SWEPT_PATTERNS)
+    for entry in step:
+        for i in entry[3]:
+            done[i] += 1
+    return (
+        len(step),
+        sum(entry[0] for entry in step),
+        sum(entry[1] for entry in step),
+        sum(entry[2] for entry in step),
+        tuple((i, k) for i, k in enumerate(done) if k),
+    )
+
+
+@lru_cache(maxsize=None)
+def _transition(x: int, b: int) -> tuple[_Step, _Leaf]:
+    """One step of the run automaton from state (x, b), for every next letter.
+
+    ``b`` is the letter of the current equal run (0 before the first letter)
+    and ``x`` the letter before that run (0 when absent); the run length is
+    carried by the caller. For each letter c that may follow, the step lists
+    whether c makes an ascent or a descent, which patterns c completes (their
+    middle run is the current one, so each counts at ell = run length), and
+    the next state. The second item sums the step for letters that end a word.
+    """
+    step = []
+    for c in range(1, b + 2):
+        completes = (
+            x == c and b == c - 1,  # sym-valley
+            x > b and c == b + 1,  # ell-valley
+            x == c and b == c + 1,  # sym-peak
+            x >= 1 and b == x + 1 and c <= x,  # ell-peak
+        )
+        done = tuple(i for i, hit in enumerate(completes) if hit)
+        nx, nb = (x, b) if c == b else (b, c)
+        step.append((c, 0 < b < c, c < b, done, nx, nb, c == b))
+    step = tuple(step)
+    return step, _summarize(step)
 
 
 def sweep_totals(
@@ -393,125 +426,62 @@ def sweep_totals(
 ) -> SweepTotals:
     """Totals of all statistics over words of length n by one exhaustive pass.
 
-    The enumeration walks the prefix tree of Catalan words depth first,
-    maintaining incremental pattern, ascent, descent, and area counters, so
-    no word list is ever materialized. A nonempty ``prefix`` restricts the
-    pass to words extending it; shard totals over a full prefix level add up
-    to the unrestricted totals.
+    The enumeration walks the prefix tree of Catalan words depth first; each
+    node returns how many words extend it, and every letter's contribution
+    (its value, ascent, descent and completed patterns) is charged once per
+    such word, so no word list is ever materialized. Every step reads the
+    memoized run-automaton table ``_transition``; nodes one letter short of
+    the end add the table's per-state summary instead of visiting each final
+    letter. ``_scan_patterns`` deliberately does not read that table: it is
+    the independent definition-level oracle the sweep is tested against.
+
+    A nonempty ``prefix`` restricts the pass to words extending it; shard
+    totals over a full prefix level add up to the unrestricted totals.
     """
     check_ceiling(n, max_n)
     if n < 1:
         raise ValueError(f"sweep_totals is defined for n >= 1, got {n}")
-
-    seed = tuple(prefix) if prefix else (1,)
-    Word(seed)
-    if len(seed) > n:
+    prefix = tuple(prefix)
+    Word(prefix)
+    if len(prefix) > n:
         raise ValueError("prefix longer than the requested words")
 
-    words = 0
     asc_t = des_t = area_t = 0
-    sv_t: dict[int, int] = {}
-    ev_t: dict[int, int] = {}
-    sp_t: dict[int, int] = {}
-    ep_t: dict[int, int] = {}
-    # per-prefix occurrence counters, keyed by run length ell
-    sv_c: dict[int, int] = {}
-    ev_c: dict[int, int] = {}
-    sp_c: dict[int, int] = {}
-    ep_c: dict[int, int] = {}
+    patterns: list[dict[int, int]] = [{} for _ in _SWEPT_PATTERNS]
 
-    # seed the incremental state by scanning the starting prefix
-    x = 0  # letter before the current equal run, 0 when absent
-    b = seed[0]  # current run letter
-    L = 1  # current run length
-    asc = des = 0
-    area = seed[0]
-    for c in seed[1:]:
-        if x == c and b == c - 1:
-            _bump(sv_c, L)
-        if x > b and c == b + 1:
-            _bump(ev_c, L)
-        if x == c and b == c + 1:
-            _bump(sp_c, L)
-        if x >= 1 and b == x + 1 and c <= x:
-            _bump(ep_c, L)
-        if c == b:
-            L += 1
-        else:
-            if c > b:
-                asc += 1
-            else:
-                des += 1
-            x, b, L = b, c, 1
-        area += c
-
-    if len(seed) == n:
-        return SweepTotals(
-            n, 1, asc, des, area, dict(sv_c), dict(ev_c), dict(sp_c), dict(ep_c)
-        )
-
-    def rec(depth: int, x: int, b: int, L: int, asc: int, des: int, area: int) -> None:
-        nonlocal words, asc_t, des_t, area_t
+    def rec(depth: int, x: int, b: int, L: int) -> int:
+        nonlocal asc_t, des_t, area_t
+        step, leaf = _transition(x, b)
+        if depth < len(prefix):
+            step = (step[prefix[depth] - 1],)
+            leaf = _summarize(step)
         if depth == n - 1:
-            kids = b + 1
-            # counts carried by the current prefix apply to every child word
-            if sv_c:
-                for key, v in sv_c.items():
-                    sv_t[key] = sv_t.get(key, 0) + v * kids
-            if ev_c:
-                for key, v in ev_c.items():
-                    ev_t[key] = ev_t.get(key, 0) + v * kids
-            if sp_c:
-                for key, v in sp_c.items():
-                    sp_t[key] = sp_t.get(key, 0) + v * kids
-            if ep_c:
-                for key, v in ep_c.items():
-                    ep_t[key] = ep_t.get(key, 0) + v * kids
-            for c in range(1, kids + 1):
-                words += 1
-                area_t += area + c
-                asc_t += asc + (1 if c > b else 0)
-                des_t += des + (1 if c < b else 0)
-                # occurrences completed by the final letter
-                if x == c and b == c - 1:
-                    sv_t[L] = sv_t.get(L, 0) + 1
-                if x > b and c == b + 1:
-                    ev_t[L] = ev_t.get(L, 0) + 1
-                if x == c and b == c + 1:
-                    sp_t[L] = sp_t.get(L, 0) + 1
-                if x >= 1 and b == x + 1 and c <= x:
-                    ep_t[L] = ep_t.get(L, 0) + 1
-            return
-        for c in range(1, b + 2):
-            sv = x == c and b == c - 1
-            ev = x > b and c == b + 1
-            sp = x == c and b == c + 1
-            ep = x >= 1 and b == x + 1 and c <= x
-            if sv:
-                _bump(sv_c, L)
-            if ev:
-                _bump(ev_c, L)
-            if sp:
-                _bump(sp_c, L)
-            if ep:
-                _bump(ep_c, L)
-            if c == b:
-                rec(depth + 1, x, b, L + 1, asc, des, area + c)
-            elif c > b:
-                rec(depth + 1, b, c, 1, asc + 1, des, area + c)
-            else:
-                rec(depth + 1, b, c, 1, asc, des + 1, area + c)
-            if sv:
-                _unbump(sv_c, L)
-            if ev:
-                _unbump(ev_c, L)
-            if sp:
-                _unbump(sp_c, L)
-            if ep:
-                _unbump(ep_c, L)
+            kids, letters, ups, downs, done = leaf
+            area_t += letters
+            asc_t += ups
+            des_t += downs
+            for i, k in done:
+                t = patterns[i]
+                t[L] = t.get(L, 0) + k
+            return kids
+        words = 0
+        for c, up, down, done, nx, nb, extends in step:
+            below = rec(depth + 1, nx, nb, L + 1 if extends else 1)
+            words += below
+            area_t += c * below
+            if up:
+                asc_t += below
+            elif down:
+                des_t += below
+            for i in done:
+                t = patterns[i]
+                t[L] = t.get(L, 0) + below
+        return words
 
-    rec(len(seed), x, b, L, asc, des, area)
-    return SweepTotals(n, words, asc_t, des_t, area_t, sv_t, ev_t, sp_t, ep_t)
+    words = rec(0, 0, 0, 0)
+    return SweepTotals(
+        n, words, asc_t, des_t, area_t, dict(zip(_SWEPT_PATTERNS, patterns))
+    )
 
 
 @lru_cache(maxsize=64)

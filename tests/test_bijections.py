@@ -245,6 +245,13 @@ class TestPeakMachinery:
         with pytest.raises(ValueError):
             peak_decompose(P("UDUD"))
 
+    def test_decompose_invariant_raises(self, monkeypatch):
+        from catalan_lab import bijections
+
+        monkeypatch.setattr(bijections, "ddu_udu_counts", lambda p: (5, 0))
+        with pytest.raises(RuntimeError):
+            peak_decompose(P("UUDD"))
+
     def test_vector_invariants(self):
         with pytest.raises(ValueError):
             PeakVector(((0, 1), (1, 0)))  # prefix dips

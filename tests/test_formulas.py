@@ -182,6 +182,17 @@ class TestIdentities:
         res = identity_check(IdentityId.LAST_PASSAGE_SUM, 2)
         assert (res.lhs, res.rhs) == (3, 3)
 
+    def test_semi_perimeter_failure_reports_real_rhs(self, monkeypatch):
+        from catalan_lab import formulas
+
+        # off by one only in binomial(2n-1, n-1), a term of the long form alone
+        monkeypatch.setattr(
+            formulas, "binomial", lambda a, b: binomial(a, b) + ((a, b) == (5, 2))
+        )
+        res = identity_check(IdentityId.SEMI_PERIMETER_SPLIT, 3)
+        assert not res.holds
+        assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 1)
+
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_holds_on_sample_range(self, ident):
         floor = IDENTITY_FLOOR[ident]

@@ -39,6 +39,12 @@ def test_suites_pass(suite_fn, n_max):
     assert report.elapsed >= 0
 
 
+def test_identities_count_every_check():
+    # ten identities check once per n from their floor; binomial-product-sum
+    # checks once per (n, k), 30 pairs for n <= 10
+    assert verify_identities(10).cases_run == 92 + 30
+
+
 class TestRunSuite:
     def test_named_suite(self):
         reports = run_suite("distributions", 5)

@@ -292,3 +292,37 @@ class TestSweepTotals:
     def test_word_count(self):
         for n in range(1, 10):
             assert sweep_totals(n).words == catalan(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_prefix_shards_match_stat_value(self, n):
+        kinds = (
+            StatKind.SYM_VALLEY,
+            StatKind.ELL_VALLEY,
+            StatKind.SYM_PEAK,
+            StatKind.ELL_PEAK,
+        )
+
+        def word_row(w):
+            asc, des, _ = asc_des_lev(w)
+            tables = {
+                kind: {ell: stat_value(w, sid(kind, ell)) for ell in range(1, n)}
+                for kind in kinds
+            }
+            return asc, des, stat_value(w, sid(StatKind.AREA)), tables
+
+        rows = {w: word_row(w) for w in enumerate_catalan(n)}
+        for length in range(min(n, 4) + 1):
+            for prefix in enumerate_catalan(length):
+                shard = [rows[w] for w in enumerate_catalan(n, prefix=prefix.letters)]
+                t = sweep_totals(n, prefix=prefix.letters)
+                assert t.words == len(shard)
+                assert t.ascents == sum(row[0] for row in shard)
+                assert t.descents == sum(row[1] for row in shard)
+                assert t.area == sum(row[2] for row in shard)
+                for kind in kinds:
+                    sums = {
+                        ell: sum(row[3][kind][ell] for row in shard)
+                        for ell in range(1, n)
+                    }
+                    expected = {ell: v for ell, v in sums.items() if v}
+                    assert t.patterns[kind] == expected, (prefix, kind)
