@@ -15,6 +15,7 @@ from .paths import (
     U,
     MarkedPath,
     Path,
+    _require_dyck,
     ddu_udu_counts,
     is_dyck,
     units,
@@ -23,11 +24,6 @@ from .paths import (
 
 def _rc(steps: Sequence[int]) -> tuple[int, ...]:
     return tuple(-s for s in reversed(steps))
-
-
-def _require_dyck(p: Path) -> None:
-    if not is_dyck(p):
-        raise ValueError(f"expected a Dyck path, got {p!r}")
 
 
 def reflect_after_touch(p: Path, level: int) -> Path:

@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import random
 import sys
 
@@ -217,6 +218,8 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"sample count must be positive, got {args.count}")
     rng = random.Random(args.seed)
     out = sys.stdout
     for i in range(args.count):
@@ -297,10 +300,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and let the exit-time flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

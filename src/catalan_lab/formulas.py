@@ -52,9 +52,9 @@ def catalan(n: int) -> int:
 
 
 def narayana(n: int, k: int) -> int:
-    """Narayana number N(n, k); zero outside 1 <= k <= n."""
-    if n < 1 or k < 1 or k > n:
-        return 0
+    """Narayana number N(n, k); zero outside 1 <= k <= n, except N(0, 0) = 1."""
+    if not 1 <= k <= n:
+        return int(n == k == 0)
     return _exact_div(binomial(n, k) * binomial(n, k - 1), n)
 
 

@@ -26,15 +26,18 @@ class EnumerationLimitError(Exception):
 
 def enumeration_ceiling(max_n: int | None = None) -> int:
     """Resolve the effective ceiling from argument, environment, or default."""
-    if max_n is not None:
-        return max_n
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
+    source = "max_n"
+    if max_n is None:
+        env = os.environ.get(ENV_VAR)
+        if env is None:
+            return DEFAULT_MAX_N
         try:
-            return int(env)
+            source, max_n = ENV_VAR, int(env)
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_N
+    if max_n < 0:
+        raise ValueError(f"{source} must be nonnegative, got {max_n}")
+    return max_n
 
 
 def check_ceiling(n: int, max_n: int | None = None) -> None:

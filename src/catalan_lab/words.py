@@ -3,17 +3,18 @@
 A Catalan word starts at 1 and never rises by more than one letter at a
 time. The module enumerates words, converts between words and Dyck paths
 (i-th up step ends at height of the i-th letter), evaluates every tracked
-statistic on a single word, and computes exhaustive totals over all words
-of a given length in one enumeration pass.
+statistic on a single word, and computes totals over all words of a given
+length by counting the prefixes that reach each run-automaton state.
 """
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 from .limits import check_ceiling
-from .paths import D, U, Path, is_dyck
+from .paths import D, U, Path, _require_dyck
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,7 @@ def word_to_path(w: Word) -> Path:
 
 def path_to_word(p: Path) -> Word:
     """Inverse of word_to_path: read off the heights of the up steps."""
-    if not is_dyck(p):
-        raise ValueError(f"expected a Dyck path, got {p!r}")
+    _require_dyck(p)
     return Word(tuple(h for s, h in zip(p.steps, p.height_profile) if s == U))
 
 
@@ -373,27 +373,10 @@ _SWEPT_PATTERNS = (
 
 # (c, ascent, descent, completed pattern indices, next x, next b, run extends)
 _Step = tuple[tuple[int, bool, bool, tuple[int, ...], int, int, bool], ...]
-# (letters, letter sum, ascents, descents, ((pattern index, completions), ...))
-_Leaf = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
-
-
-def _summarize(step: _Step) -> _Leaf:
-    """What the letters of ``step`` add when each one ends a word."""
-    done = [0] * len(_SWEPT_PATTERNS)
-    for entry in step:
-        for i in entry[3]:
-            done[i] += 1
-    return (
-        len(step),
-        sum(entry[0] for entry in step),
-        sum(entry[1] for entry in step),
-        sum(entry[2] for entry in step),
-        tuple((i, k) for i, k in enumerate(done) if k),
-    )
 
 
 @lru_cache(maxsize=None)
-def _transition(x: int, b: int) -> tuple[_Step, _Leaf]:
+def _transition(x: int, b: int) -> _Step:
     """One step of the run automaton from state (x, b), for every next letter.
 
     ``b`` is the letter of the current equal run (0 before the first letter)
@@ -401,7 +384,7 @@ def _transition(x: int, b: int) -> tuple[_Step, _Leaf]:
     carried by the caller. For each letter c that may follow, the step lists
     whether c makes an ascent or a descent, which patterns c completes (their
     middle run is the current one, so each counts at ell = run length), and
-    the next state. The second item sums the step for letters that end a word.
+    the next state.
     """
     step = []
     for c in range(1, b + 2):
@@ -414,8 +397,7 @@ def _transition(x: int, b: int) -> tuple[_Step, _Leaf]:
         done = tuple(i for i, hit in enumerate(completes) if hit)
         nx, nb = (x, b) if c == b else (b, c)
         step.append((c, 0 < b < c, c < b, done, nx, nb, c == b))
-    step = tuple(step)
-    return step, _summarize(step)
+    return tuple(step)
 
 
 def sweep_totals(
@@ -424,16 +406,16 @@ def sweep_totals(
     prefix: Sequence[int] = (),
     max_n: int | None = None,
 ) -> SweepTotals:
-    """Totals of all statistics over words of length n by one exhaustive pass.
+    """Totals of all statistics over words of length n by a forward count.
 
-    The enumeration walks the prefix tree of Catalan words depth first; each
-    node returns how many words extend it, and every letter's contribution
-    (its value, ascent, descent and completed patterns) is charged once per
-    such word, so no word list is ever materialized. Every step reads the
-    memoized run-automaton table ``_transition``; nodes one letter short of
-    the end add the table's per-state summary instead of visiting each final
-    letter. ``_scan_patterns`` deliberately does not read that table: it is
-    the independent definition-level oracle the sweep is tested against.
+    One pass over depth keeps, for each run-automaton state (x, b, L), the
+    number of prefixes reaching it (the transfer-matrix method). Every
+    letter's contribution (its value, ascent, descent and completed patterns)
+    is charged once per word containing it: the prefixes reaching the state
+    it leaves times the words extending it. Every step reads the memoized
+    table ``_transition``. ``_scan_patterns`` deliberately does not read that
+    table: it is the independent definition-level oracle the sweep is tested
+    against.
 
     A nonempty ``prefix`` restricts the pass to words extending it; shard
     totals over a full prefix level add up to the unrestricted totals.
@@ -446,56 +428,49 @@ def sweep_totals(
     if len(prefix) > n:
         raise ValueError("prefix longer than the requested words")
 
+    # ext[r][c]: ways to append r letters after letter c (0: the empty word).
+    # The next letter is any of 1..c+1, so each row sums the one before it.
+    ext = [[1] * (n + 2)]
+    for _ in range(n):
+        ext.append(list(accumulate(ext[-1][1:])))
+    # inside a forced prefix every node extends to the whole prefix's words
+    held = ext[n - len(prefix)][prefix[-1]] if prefix else 0
     asc_t = des_t = area_t = 0
     patterns: list[dict[int, int]] = [{} for _ in _SWEPT_PATTERNS]
+    states = {(0, 0, 0): 1}
+    for depth in range(n):
+        forced = depth < len(prefix)
+        rest = ext[n - depth - 1]
+        reached: dict[tuple[int, int, int], int] = {}
+        for (x, b, L), count in states.items():
+            step = _transition(x, b)
+            if forced:
+                step = (step[prefix[depth] - 1],)
+            for c, up, down, done, nx, nb, extends in step:
+                words = count * (held if forced else rest[c])
+                area_t += c * words
+                if up:
+                    asc_t += words
+                elif down:
+                    des_t += words
+                for i in done:
+                    t = patterns[i]
+                    t[L] = t.get(L, 0) + words
+                key = (nx, nb, L + 1 if extends else 1)
+                reached[key] = reached.get(key, 0) + count
+        states = reached
 
-    def rec(depth: int, x: int, b: int, L: int) -> int:
-        nonlocal asc_t, des_t, area_t
-        step, leaf = _transition(x, b)
-        if depth < len(prefix):
-            step = (step[prefix[depth] - 1],)
-            leaf = _summarize(step)
-        if depth == n - 1:
-            kids, letters, ups, downs, done = leaf
-            area_t += letters
-            asc_t += ups
-            des_t += downs
-            for i, k in done:
-                t = patterns[i]
-                t[L] = t.get(L, 0) + k
-            return kids
-        words = 0
-        for c, up, down, done, nx, nb, extends in step:
-            below = rec(depth + 1, nx, nb, L + 1 if extends else 1)
-            words += below
-            area_t += c * below
-            if up:
-                asc_t += below
-            elif down:
-                des_t += below
-            for i in done:
-                t = patterns[i]
-                t[L] = t.get(L, 0) + below
-        return words
-
-    words = rec(0, 0, 0, 0)
-    return SweepTotals(
-        n, words, asc_t, des_t, area_t, dict(zip(_SWEPT_PATTERNS, patterns))
-    )
-
-
-@lru_cache(maxsize=64)
-def _sweep_cached(n: int, max_n: int | None) -> SweepTotals:
-    return sweep_totals(n, max_n=max_n)
+    tables = dict(zip(_SWEPT_PATTERNS, patterns))
+    return SweepTotals(n, sum(states.values()), asc_t, des_t, area_t, tables)
 
 
 def brute_total(n: int, s: StatId, *, max_n: int | None = None) -> int:
-    """Total of statistic ``s`` over all words of length n, by full enumeration.
+    """Total of statistic ``s`` over all words of length n, by the state count.
 
-    Values agree with summing stat_value over enumerate_catalan(n); the pass
-    is shared across statistics and cached per length.
+    Values agree with summing stat_value over enumerate_catalan(n); each call
+    runs ``sweep_totals`` afresh, so no caller shares its result.
     """
     check_ceiling(n, max_n)
     if n == 0:
         return sum(stat_value(w, s) for w in enumerate_catalan(0, max_n=max_n))
-    return _sweep_cached(n, max_n).total(s)
+    return sweep_totals(n, max_n=max_n).total(s)

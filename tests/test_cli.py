@@ -295,6 +295,13 @@ class TestDistribution:
         assert code == 0
         assert len(out.splitlines()) == 1
 
+    def test_runs_asc_empty_word(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "distribution", "--stat", "runs-asc", "--n", "0"
+        )
+        assert code == 0
+        assert out.split() == ["0", "1", "1", "ok"]
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
@@ -317,6 +324,27 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert "ceiling" in proc.stderr
 
+    def test_closed_pipe_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catalan_lab.cli", "enumerate",
+             "--kind", "words", "--n", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1111111111\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    def test_negative_max_n_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "--max-n", "-5", "enumerate", "--kind", "words", "--n", "0"
+        )
+        assert code == 2
+        assert "max_n must be nonnegative, got -5" in err
+
 
 class TestSample:
     def test_requires_seed(self, capsys):
@@ -333,6 +361,14 @@ class TestSample:
         )
         assert out_a == out_b
         assert len(out_a.splitlines()) == 10
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "3", "--count", count, "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert f"sample count must be positive, got {count}" in err
 
     def test_draws_are_valid(self, capsys):
         from catalan_lab import Path, is_dyck

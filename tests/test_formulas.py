@@ -106,6 +106,10 @@ class TestCatalanNarayana:
         assert narayana(4, 5) == 0
         assert narayana(0, 1) == 0
 
+    def test_empty_row_is_one(self):
+        assert narayana(0, 0) == 1
+        assert sum(narayana(0, k) for k in range(2)) == catalan(0)
+
 
 class TestClosedTotal:
     def test_anchor_values(self):

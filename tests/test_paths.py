@@ -133,6 +133,15 @@ class TestEnumerateDyck:
             next(enumerate_dyck(3))
         assert sum(1 for _ in enumerate_dyck(3, max_n=5)) == 5
 
+    def test_negative_ceiling_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="max_n must be nonnegative, got -5"):
+            next(enumerate_dyck(0, max_n=-5))
+        monkeypatch.setenv("CATALAN_LAB_MAX_N", "-5")
+        with pytest.raises(
+            ValueError, match="CATALAN_LAB_MAX_N must be nonnegative, got -5"
+        ):
+            next(enumerate_dyck(0))
+
     def test_prefix_sharding(self):
         n = 5
         whole = list(enumerate_dyck(n))

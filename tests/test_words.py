@@ -272,6 +272,23 @@ class TestBruteTotal:
         with pytest.raises(EnumerationLimitError):
             brute_total(17, sid(StatKind.AREA))
 
+    def test_result_not_shared_between_callers(self, monkeypatch):
+        from catalan_lab import words
+
+        stat = sid(StatKind.SYM_PEAK, 1)
+        expected = naive_total(5, stat)
+        made = []
+        sweep = words.sweep_totals
+
+        def recording(*args, **kwargs):
+            made.append(sweep(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(words, "sweep_totals", recording)
+        assert brute_total(5, stat) == expected
+        made[0].patterns[StatKind.SYM_PEAK][1] = 999
+        assert brute_total(5, stat) == expected
+
 
 class TestSweepTotals:
     def test_shards_add_up(self):
