@@ -145,6 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oeis(args) -> int:
+    offset = 1 if args.offset is None else args.offset
+    first_n = 1 if args.first_n is None else args.first_n
     if args.id:
         binding = oeis_files.BUILTIN_BINDINGS.get(args.id)
         if binding is None:
@@ -152,12 +154,14 @@ def cmd_oeis(args) -> int:
             raise ValueError(f"no built-in binding for {args.id}; known: {known}")
         if args.stat:
             binding = oeis_files.OeisBinding(
-                args.id, StatId.parse(args.stat), args.offset, args.first_n
+                args.id, StatId.parse(args.stat), offset, first_n
+            )
+        elif args.offset is not None or args.first_n is not None:
+            raise ValueError(
+                f"--offset and --first-n need --stat; {args.id} has its own"
             )
     elif args.stat:
-        binding = oeis_files.OeisBinding(
-            None, StatId.parse(args.stat), args.offset, args.first_n
-        )
+        binding = oeis_files.OeisBinding(None, StatId.parse(args.stat), offset, first_n)
     else:
         raise ValueError("provide an OEIS id or --stat")
     terms = binding.terms(args.terms)
@@ -275,8 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis", help="emit or check b-file terms")
     p.add_argument("id", nargs="?", help="OEIS id with a built-in binding")
     p.add_argument("--stat", help="statistic for a custom binding")
-    p.add_argument("--offset", type=int, default=1, help="first emitted index")
-    p.add_argument("--first-n", type=int, default=1, help="word length of first term")
+    p.add_argument(
+        "--offset", type=int, help="first emitted index (with --stat; default 1)"
+    )
+    p.add_argument(
+        "--first-n", type=int, help="word length of first term (with --stat; default 1)"
+    )
     p.add_argument("--terms", type=int, default=10)
     p.add_argument("--check", help="b-file to compare against")
     p.set_defaults(func=cmd_oeis)

@@ -2,11 +2,12 @@
 totals, stratified Dyck path counts, and two-sided identity evaluation.
 
 Everything is arbitrary-precision integer arithmetic. Binomials follow a
-single global convention: out-of-range arguments give 0. Divisions assert
-exactness; an inexact division signals a bug, never a rounding choice.
+single global convention: out-of-range arguments give 0. An inexact
+division raises ArithmeticError; it signals a bug, never a rounding choice.
 """
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -15,6 +16,8 @@ from .words import StatId, StatKind
 
 # Binomials up to this row come from a memoized Pascal triangle; larger
 # arguments fall back to math.comb. Identity sweeps to n=300 need row 602.
+# Sums of binomials along a diagonal never read the table past their first
+# term: _diagonal_sum steps from term to term by the term ratio.
 PASCAL_ROW_LIMIT = 640
 
 _rows: list[list[int]] = [[1]]
@@ -69,9 +72,28 @@ def _half(value: int) -> int:
     return _exact_div(value, 2)
 
 
+def _diagonal_sum(a: int, b: int, lo: int, hi: int) -> int:
+    """Sum of C(2m+a, m+b) over lo <= m <= hi.
+
+    Terms are zero until m >= max(-b, b-a) and nonzero from there on, so the
+    first nonzero term is one binomial and each later one follows from its
+    predecessor by the ratio (2m+a+2)(2m+a+1) / ((m+b+1)(m+a-b+1)).
+    """
+    m = max(lo, -b, b - a)
+    if m > hi:
+        return 0
+    term = binomial(2 * m + a, m + b)
+    total = term
+    for i in range(m, hi):
+        term = _exact_div(
+            term * (2 * i + a + 2) * (2 * i + a + 1), (i + b + 1) * (i + a - b + 1)
+        )
+        total += term
+    return total
+
+
 def _sym_valley_total(n: int) -> int:
-    s = sum(binomial(2 * k, k) for k in range(1, n + 1))
-    return (3 * n - 2) * catalan(n - 1) - _half(s)
+    return (3 * n - 2) * catalan(n - 1) - _half(_diagonal_sum(0, 0, 1, n))
 
 
 def _marked_high_up_count(m: int) -> int:
@@ -96,19 +118,15 @@ def closed_total(n: int, s: StatId) -> int:
         return _marked_high_up_count(n - ell - 1)
     if kind is StatKind.ELL_VALLEY:
         if ell is None:
-            return sum(
-                binomial(2 * n - 2 * l - 1, n - l - 3) for l in range(1, max(n - 2, 1))
-            )
+            return _diagonal_sum(-1, -3, 3, n - 1)
         return binomial(2 * n - 2 * ell - 1, n - ell - 3)
     if kind is StatKind.SYM_PEAK:
         if ell is None:
-            return sum(binomial(2 * k + 2, k) for k in range(max(n - 2, 0)))
+            return _diagonal_sum(2, 0, 0, n - 3)
         return binomial(2 * n - 2 * ell - 2, n - ell - 2)
     if kind is StatKind.ELL_PEAK:
         if ell is None:
-            return sum(
-                binomial(2 * n - 2 * l - 1, n - l - 2) for l in range(1, max(n - 1, 1))
-            )
+            return _diagonal_sum(-1, -2, 2, n - 1)
         return binomial(2 * n - 2 * ell - 1, n - ell - 2)
     if kind is StatKind.RUNS_DESC:
         return binomial(2 * n, n) - binomial(2 * n - 2, n - 1)
@@ -248,10 +266,19 @@ def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityR
             raise ValueError(
                 f"binomial-product-sum needs 0 <= k <= (n-1)//2, got k={k}"
             )
-        lhs = sum(
-            binomial(n - j - 1, k) * binomial(n - j - k - 1, k) * binomial(n - 1, j)
-            for j in range(n - 2 * k)
-        )
+        # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
+        # the Pascal rows. Stepping the terms by their own ratio instead would
+        # compute the lhs with the rhs's algebra and check nothing.
+        top = n - 1
+        if top <= PASCAL_ROW_LIMIT:
+            _pascal_row(top)  # every row up to top is built
+            cols = [_rows[m][k] * _rows[m - k][k] for m in range(top, 2 * k - 1, -1)]
+            lhs = sum(map(operator.mul, cols, _rows[top]))
+        else:
+            lhs = sum(
+                binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
+                for m in range(top, 2 * k - 1, -1)
+            )
         rhs = binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1)
         return IdentityResult(lhs, rhs)
     if ident is IdentityId.SEMI_PERIMETER_SPLIT:

@@ -595,10 +595,12 @@ def verify_identities(n_max: int = 300) -> VerifyReport:
 def run_suite(name: str, n_max: int | None = None) -> list[VerifyReport]:
     """Run one named suite, or all of them.
 
-    Without ``n_max`` each suite runs at its cap. With ``n_max``, a single
-    suite must stay at or below its cap; for ``all`` the bound is clipped to
-    each suite's cap.
+    Without ``n_max`` each suite runs at its cap. With ``n_max``, which must
+    be nonnegative, a single suite must stay at or below its cap; for ``all``
+    the bound is clipped to each suite's cap.
     """
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     suites = {
         "bijections": verify_bijections,
         "transport": verify_transport,

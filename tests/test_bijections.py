@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalan_lab import (
@@ -24,6 +24,7 @@ from catalan_lab import (
     dyck_to_low_path,
     enumerate_dyck,
     enumerate_lattice,
+    factor_occurrences,
     insert_ud,
     is_dyck,
     last_passage_class,
@@ -42,6 +43,7 @@ from catalan_lab import (
     sym_valley_insert,
     sym_valley_pattern,
     sym_valley_remove,
+    units,
 )
 from catalan_lab.verify import marked_set
 
@@ -460,3 +462,69 @@ class TestMarkedSetHelper:
         assert len(marks) == sum(count_factor(p, (U, U)) for p in paths)
         for mp in marks:
             assert mp.marked_factor == (U, U)
+
+
+# Uniform random Dyck paths far beyond the exhaustively verified sizes.
+random_paths = settings(max_examples=25, deadline=None)(
+    given(n=st.integers(50, 200), seed=st.integers(0, 2**32 - 1))
+)
+
+
+class TestRandomRoundTrips:
+    """Each bijection's round trip on paths drawn by the library's sampler."""
+
+    @pytest.mark.parametrize(
+        "pattern, filters, survivor",
+        [
+            ((U, U), {}, D),
+            ((U, D, U), {}, D),
+            ((D, D, U), {}, D),
+            ((U, U, D, D, U), {}, U),
+            ((U,), {"min_end_height": 2}, U),
+            ((D,), {"min_end_height": 2}, D),
+        ],
+        ids=["uu", "udu", "ddu", "uuddu", "high-up", "high-down"],
+    )
+    @random_paths
+    def test_split_reverse(self, pattern, filters, survivor, n, seed):
+        rng = random.Random(seed)
+        p = random_dyck_path(n, rng)
+        starts = factor_occurrences(p, pattern, **filters)
+        assume(starts)
+        mp = MarkedPath(p, rng.choice(starts), len(pattern))
+        image = split_reverse(mp, survivor)
+        assert split_reverse_inverse(image, pattern, survivor) == mp
+
+    @random_paths
+    def test_marked_unit(self, n, seed):
+        rng = random.Random(seed)
+        p = random_dyck_path(n, rng)
+        idx = rng.randint(1, len(units(p)))
+        assert drop_marked_unit(lift_marked_unit(p, idx)) == (p, idx)
+
+    @random_paths
+    def test_low_path(self, n, seed):
+        p = random_dyck_path(n, random.Random(seed))
+        low = dyck_to_low_path(p)
+        assert low.min_height >= -1
+        assert low_path_to_dyck(low) == p
+
+    @random_paths
+    def test_area_mark(self, n, seed):
+        rng = random.Random(seed)
+        p = random_dyck_path(n, rng)
+        up = rng.choice([i for i, s in enumerate(p.steps) if s == U])
+        am = AreaMark(p, up, rng.randrange(p.height_profile[up]))
+        assert area_mark_decode(area_mark_encode(am)) == am
+
+    @random_paths
+    def test_peak_vector(self, n, seed):
+        # a random path of this size has UDU factors; its precursor has none
+        precursor, _ = remove_ud(random_dyck_path(n, random.Random(seed)))
+        assert peak_rebuild(peak_decompose(precursor)) == precursor
+
+    @random_paths
+    def test_ud_insert_remove(self, n, seed):
+        p = random_dyck_path(n, random.Random(seed))
+        precursor, positions = remove_ud(p)
+        assert insert_ud(precursor, positions) == p

@@ -188,6 +188,12 @@ class TestVerify:
         )
         assert code == 2 and "caps" in err
 
+    @pytest.mark.parametrize("suite", ["identities", "all"])
+    def test_negative_n_max_is_usage_error(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "-1")
+        assert code == 2
+        assert "nonnegative" in err and "PASSED" not in out
+
 
 class TestOeis:
     def test_a000346_prefix(self, capsys):
@@ -209,6 +215,22 @@ class TestOeis:
         )
         assert code == 0
         assert [line.split()[1] for line in out.splitlines()] == ["1", "3", "10"]
+
+    @pytest.mark.parametrize("flag", ["--offset", "--first-n"])
+    def test_builtin_id_rejects_alignment_flags(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "oeis", "A000346", "--terms", "3", flag, "0"
+        )
+        assert code == 2
+        assert flag in err and out == ""
+
+    def test_custom_binding_honours_alignment_flags(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "oeis", "A000346", "--stat", "area", "--terms", "2",
+            "--offset", "0", "--first-n", "2",
+        )
+        assert (code, out) == (0, "0 5\n1 22\n")
 
     def test_check_match(self, capsys, tmp_path):
         bfile = tmp_path / "b000346.txt"

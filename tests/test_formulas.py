@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import catalan_lab
 from catalan_lab import (
     IdentityId,
     StatId,
@@ -15,7 +18,7 @@ from catalan_lab import (
     identity_check,
     narayana,
 )
-from catalan_lab.formulas import IDENTITY_FLOOR, PASCAL_ROW_LIMIT
+from catalan_lab.formulas import IDENTITY_FLOOR, PASCAL_ROW_LIMIT, _diagonal_sum
 
 
 def pascal_oracle(rows):
@@ -27,6 +30,25 @@ def pascal_oracle(rows):
             [1] + [prev[i - 1] + prev[i] for i in range(1, n)] + [1]
         )
     return table
+
+
+def comb0(n, k):
+    """math.comb with the zero-outside-range convention."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+# The all-ell pattern totals as plain sums of binomials, term by term.
+DEFINITIONAL_TOTALS = {
+    StatKind.SYM_VALLEY: lambda n: (3 * n - 2) * (comb0(2 * n - 2, n - 1) // n)
+    - sum(comb0(2 * k, k) for k in range(1, n + 1)) // 2,
+    StatKind.ELL_VALLEY: lambda n: sum(
+        comb0(2 * n - 2 * l - 1, n - l - 3) for l in range(1, n - 2)
+    ),
+    StatKind.SYM_PEAK: lambda n: sum(comb0(2 * k + 2, k) for k in range(n - 2)),
+    StatKind.ELL_PEAK: lambda n: sum(
+        comb0(2 * n - 2 * l - 1, n - l - 2) for l in range(1, n - 1)
+    ),
+}
 
 
 class TestBinomial:
@@ -145,6 +167,39 @@ class TestClosedTotal:
             closed_total(0, StatId(StatKind.AREA))
 
 
+class TestDiagonalSum:
+    """The term-ratio sum of C(2m+a, m+b) against the sum of its terms."""
+
+    def test_against_termwise_sum(self):
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                for lo in range(-3, 7):
+                    for hi in range(lo - 2, lo + 9):
+                        expected = sum(
+                            comb0(2 * m + a, m + b) for m in range(lo, hi + 1)
+                        )
+                        assert _diagonal_sum(a, b, lo, hi) == expected, (a, b, lo, hi)
+
+    def test_leading_zero_terms_and_empty_ranges(self):
+        # C(2m-1, m-3) is zero for m < 3
+        assert _diagonal_sum(-1, -3, 0, 2) == 0
+        assert _diagonal_sum(-1, -3, 0, 3) == 1
+        assert _diagonal_sum(0, 0, 5, 4) == 0
+        assert _diagonal_sum(2, 0, 0, -1) == 0
+
+    @pytest.mark.parametrize("kind", list(DEFINITIONAL_TOTALS))
+    def test_all_ell_totals_across_row_limit(self, kind):
+        sizes = list(range(1, 41)) + [
+            PASCAL_ROW_LIMIT - 1,
+            PASCAL_ROW_LIMIT,
+            PASCAL_ROW_LIMIT + 1,
+            PASCAL_ROW_LIMIT + 2,
+            1000,
+        ]
+        for n in sizes:
+            assert closed_total(n, StatId(kind)) == DEFINITIONAL_TOTALS[kind](n), n
+
+
 class TestStrataCounts:
     def test_anchor_values(self):
         assert dyck_count_by_ddu(4, 0) == 8
@@ -207,6 +262,27 @@ class TestIdentities:
             else:
                 assert identity_check(ident, n).holds, (ident, n)
 
+    @pytest.mark.parametrize(
+        "sizes, ks",
+        [
+            (range(1, 61), None),
+            # top row n - 1 at the table's last row, then just past it
+            (
+                [PASCAL_ROW_LIMIT + 1, PASCAL_ROW_LIMIT + 2],
+                [0, 1, 57, PASCAL_ROW_LIMIT // 2],
+            ),
+        ],
+    )
+    def test_binomial_product_lhs_is_the_triple_product(self, sizes, ks):
+        for n in sizes:
+            for k in range((n - 1) // 2 + 1) if ks is None else ks:
+                literal = sum(
+                    comb0(n - j - 1, k) * comb0(n - j - k - 1, k) * math.comb(n - 1, j)
+                    for j in range(n - 2 * k)
+                )
+                res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
+                assert res.lhs == literal, (n, k)
+
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_floor_enforced(self, ident):
         floor = IDENTITY_FLOOR[ident]
@@ -243,3 +319,23 @@ class TestOracleAgreement:
             for ell in range(1, n + 1):
                 s = StatId(kind, ell)
                 assert closed_total(n, s) == brute_total(n, s), (kind, ell)
+
+
+class TestOracleIndependence:
+    """The enumeration oracles share no code with the closed forms they check."""
+
+    @pytest.mark.parametrize("module", ["words", "paths", "bijections"])
+    def test_oracle_does_not_import_formulas(self, module):
+        source = Path(catalan_lab.__file__).with_name(f"{module}.py").read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = ("." * node.level) + (node.module or "")
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        package = {name for name in imported if name.startswith((".", "catalan_lab"))}
+        assert not any("formulas" in name.split(".") for name in package), package
+        # a package-level import would pull formulas in through __init__
+        assert not package & {".", "catalan_lab"}, package
