@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -400,3 +401,43 @@ class TestSample:
         )
         for line in out.splitlines():
             assert is_dyck(Path.from_string(line))
+
+
+_GOLDEN_TABLES = [
+    "enumerate --kind words --n 3",
+    "enumerate --kind words --n 0",
+    "enumerate --kind words --n 3 --stats area,runs-desc,sym-valley:1",
+    "enumerate --kind paths --n 3",
+    "totals --n-max 5 --stats all",
+    "totals --n-max 0 --stats area",
+    "totals --n-max 4 --stats sym-valley:1,area",
+    "distribution --stat runs-asc --n 5",
+    "distribution --stat runs-asc --n 0",
+    "distribution --stat area --n 4",
+]
+_GOLDEN_CASES = [
+    f"{table} --format {fmt}"
+    for table in _GOLDEN_TABLES
+    for fmt in ("plain", "csv", "json")
+] + [f"sample --n 5 --count 3 --seed 7 --format {fmt}" for fmt in ("plain", "json")]
+
+
+class TestGoldenOutput:
+    """Byte-exact stdout and exit code of every table command in each format.
+
+    ``data/cli_golden.json`` was recorded from the CLI while each command
+    still wrote its own csv and json code, so it pins the shared row writer
+    to that output.
+    """
+
+    GOLDEN = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(
+            encoding="utf-8"
+        )
+    )
+
+    @pytest.mark.parametrize("case", _GOLDEN_CASES)
+    def test_output_is_pinned(self, capsys, case):
+        expected = self.GOLDEN[case]
+        code, out, err = run_cli(capsys, *case.split())
+        assert (code, out, err) == (expected["exit"], expected["stdout"], "")
