@@ -15,15 +15,12 @@ from .paths import (
     U,
     MarkedPath,
     Path,
+    _rc,
     _require_dyck,
     ddu_udu_counts,
     is_dyck,
     units,
 )
-
-
-def _rc(steps: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-s for s in reversed(steps))
 
 
 def reflect_after_touch(p: Path, level: int) -> Path:

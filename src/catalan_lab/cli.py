@@ -3,7 +3,9 @@
 Subcommands: enumerate, totals, verify, oeis, distribution, sample.
 Exit codes: 0 success or full match, 1 verification mismatch, 2 usage or
 limit error. Output is deterministic; the sampler requires an explicit
-seed and is then deterministic too.
+seed and is then deterministic too. The table commands share one row
+writer. ``main`` lifts the int/str conversion digit limit, which b-file
+terms outgrow, for the CLI process only; importing the library does not.
 """
 
 import argparse
@@ -13,6 +15,8 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable, Iterable
+from operator import itemgetter
 
 from . import oeis as oeis_files
 from .bijections import random_dyck_path
@@ -64,35 +68,49 @@ def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
     return functools.reduce(lambda a, b: a + b, shards)
 
 
+def _write_rows(
+    fmt: str, header: list[str], rows: Iterable[dict], plain: Callable[[dict], str]
+) -> None:
+    """Print dict rows as csv, as one JSON object per line, or as plain text.
+
+    csv writes ``header`` first, lowercases booleans and spreads a dict-valued
+    cell over its own columns; json keeps such a cell nested; plain writes
+    ``plain(row)``. ``rows`` may be a generator, so output streams.
+    """
+    out = sys.stdout
+    if fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for row in rows:
+            cells = []
+            for v in row.values():
+                cells += v.values() if isinstance(v, dict) else [v]
+            writer.writerow([str(c).lower() if type(c) is bool else c for c in cells])
+    elif fmt == "json":
+        for row in rows:
+            out.write(json.dumps(row) + "\n")
+    else:
+        for row in rows:
+            out.write(plain(row) + "\n")
+
+
 def cmd_enumerate(args) -> int:
-    stats = _parse_stats(args.stats) if args.stats else None
+    stats = _parse_stats(args.stats) if args.stats else []
     if stats and args.kind == "paths":
         raise ValueError("per-item statistics are only available for words")
     if args.kind == "words":
         items = enumerate_catalan(args.n, max_n=args.max_n)
     else:
         items = enumerate_dyck(args.n, max_n=args.max_n)
-    out = sys.stdout
-    if args.format == "csv":
-        writer = csv.writer(out)
-        header = ["index", "value"]
-        if stats:
-            header += [str(s) for s in stats]
-        writer.writerow(header)
-        for i, item in enumerate(items):
-            row = [i, str(item)]
-            if stats:
-                row += [stat_value(item, s) for s in stats]
-            writer.writerow(row)
-    elif args.format == "json":
-        for i, item in enumerate(items):
-            record = {"index": i, "value": str(item)}
-            if stats:
-                record["stats"] = {str(s): stat_value(item, s) for s in stats}
-            out.write(json.dumps(record) + "\n")
-    else:
-        for item in items:
-            out.write(str(item) + "\n")
+    if args.format == "plain":
+        stats = []  # plain prints the items alone, so skip their statistics
+    rows = (
+        {"index": i, "value": str(item)}
+        | ({"stats": {str(s): stat_value(item, s) for s in stats}} if stats else {})
+        for i, item in enumerate(items)
+    )
+    header = ["index", "value"] + [str(s) for s in stats]
+    _write_rows(args.format, header, rows, itemgetter("value"))
     return EXIT_OK
 
 
@@ -104,34 +122,21 @@ def cmd_totals(args) -> int:
         for s in stats:
             brute = totals.total(s)
             closed = closed_total(n, s)
-            rows.append((n, str(s), brute, closed, brute == closed))
-    out = sys.stdout
-    if args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["n", "stat", "brute", "closed", "match"])
-        for n, name, brute, closed, match in rows:
-            writer.writerow([n, name, brute, closed, str(match).lower()])
-    elif args.format == "json":
-        for n, name, brute, closed, match in rows:
-            out.write(
-                json.dumps(
-                    {
-                        "n": n,
-                        "stat": name,
-                        "brute": brute,
-                        "closed": closed,
-                        "match": match,
-                    }
-                )
-                + "\n"
+            rows.append(
+                {"n": n, "stat": str(s), "brute": brute, "closed": closed,
+                 "match": brute == closed}
             )
-    elif rows:
-        width = max(len(name) for _, name, *_ in rows)
-        out.write(f"{'n':>3} {'stat':<{width}} {'brute':>22} {'closed':>22} match\n")
-        for n, name, brute, closed, match in rows:
-            flag = "ok" if match else "MISMATCH"
-            out.write(f"{n:>3} {name:<{width}} {brute:>22} {closed:>22} {flag}\n")
-    return EXIT_OK if all(match for *_, match in rows) else EXIT_MISMATCH
+    header = ["n", "stat", "brute", "closed", "match"]
+    width = max((len(row["stat"]) for row in rows), default=0)
+    layout = f"{{n:>3}} {{stat:<{width}}} {{brute:>22}} {{closed:>22}} {{match}}".format
+    if args.format == "plain" and rows:
+        sys.stdout.write(layout(**{name: name for name in header}) + "\n")
+
+    def plain(row: dict) -> str:
+        return layout(**row | {"match": "ok" if row["match"] else "MISMATCH"})
+
+    _write_rows(args.format, header, rows, plain)
+    return EXIT_OK if all(row["match"] for row in rows) else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
@@ -198,24 +203,16 @@ def cmd_distribution(args) -> int:
             row["narayana"] = expected
             row["match"] = expected == hist[value]
         rows.append(row)
-    out = sys.stdout
-    if args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(list(rows[0]) if rows else ["value", "count"])
-        for row in rows:
-            writer.writerow(
-                [str(v).lower() if isinstance(v, bool) else v for v in row.values()]
-            )
-    elif args.format == "json":
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-    else:
-        for row in rows:
-            line = f"{row['value']:>4} {row['count']:>16}"
-            if with_narayana:
-                flag = "ok" if row["match"] else "MISMATCH"
-                line += f" {row['narayana']:>16} {flag}"
-            out.write(line + "\n")
+    header = ["value", "count"] + (["narayana", "match"] if with_narayana else [])
+
+    def plain(row: dict) -> str:
+        line = f"{row['value']:>4} {row['count']:>16}"
+        if with_narayana:
+            flag = "ok" if row["match"] else "MISMATCH"
+            line += f" {row['narayana']:>16} {flag}"
+        return line
+
+    _write_rows(args.format, header, rows, plain)
     if with_narayana and not all(row["match"] for row in rows):
         return EXIT_MISMATCH
     return EXIT_OK
@@ -225,13 +222,11 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"sample count must be positive, got {args.count}")
     rng = random.Random(args.seed)
-    out = sys.stdout
-    for i in range(args.count):
-        path = random_dyck_path(args.n, rng)
-        if args.format == "json":
-            out.write(json.dumps({"index": i, "value": str(path)}) + "\n")
-        else:
-            out.write(str(path) + "\n")
+    rows = (
+        {"index": i, "value": str(random_dyck_path(args.n, rng))}
+        for i in range(args.count)
+    )
+    _write_rows(args.format, ["index", "value"], rows, itemgetter("value"))
     return EXIT_OK
 
 
@@ -307,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -62,12 +62,6 @@ class Path:
         """Minimum over all prefix heights, including the starting 0."""
         return min((0,) + self.height_profile)
 
-    def height_at(self, vertex: int) -> int:
-        """Height at vertex ``vertex`` (0 = start, length = end)."""
-        if vertex == 0:
-            return 0
-        return self.height_profile[vertex - 1]
-
     def __str__(self) -> str:
         return "".join(_STEP_TO_CHAR[s] for s in self.steps)
 
@@ -76,9 +70,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-EMPTY_PATH = Path(())
 
 
 @dataclass(frozen=True)
@@ -205,9 +196,13 @@ def enumerate_lattice(a: int, b: int, *, max_n: int | None = None) -> Iterator[P
     return rec(0, 0)
 
 
+def _rc(steps: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-s for s in reversed(steps))
+
+
 def reverse_complement(p: Path) -> Path:
     """Reverse the steps and swap U with D; an involution negating the endpoint."""
-    return Path(tuple(-s for s in reversed(p.steps)))
+    return Path(_rc(p.steps))
 
 
 def _final_run_start(p: Path) -> int:
@@ -238,18 +233,14 @@ def factor_occurrences(
     hits = []
     profile = p.height_profile
     tail = _final_run_start(p) if terminal is not None else 0
+    first_d = pat.index(D) if D in pat else None
     for i in range(p.length - k + 1):
         if p.steps[i : i + k] != pat:
             continue
         if min_end_height is not None and profile[i + k - 1] < min_end_height:
             continue
         if terminal is not None:
-            last_d = max((j for j in range(k) if pat[j] == D), default=None)
-            if last_d is None:
-                is_term = True
-            else:
-                first_d = min(j for j in range(k) if pat[j] == D)
-                is_term = i + first_d >= tail
+            is_term = first_d is None or i + first_d >= tail
             if is_term != terminal:
                 continue
         hits.append(i)
@@ -292,6 +283,4 @@ def units(p: Path) -> list[tuple[int, int]]:
 def ddu_udu_counts(p: Path) -> tuple[int, int]:
     """Occurrence counts (k, j) of the factors DDU and UDU in a Dyck path."""
     _require_dyck(p)
-    k = count_factor(p, (D, D, U)) if p.length >= 3 else 0
-    j = count_factor(p, (U, D, U)) if p.length >= 3 else 0
-    return k, j
+    return count_factor(p, (D, D, U)), count_factor(p, (U, D, U))

@@ -470,7 +470,6 @@ def brute_total(n: int, s: StatId, *, max_n: int | None = None) -> int:
     Values agree with summing stat_value over enumerate_catalan(n); each call
     runs ``sweep_totals`` afresh, so no caller shares its result.
     """
-    check_ceiling(n, max_n)
     if n == 0:
         return sum(stat_value(w, s) for w in enumerate_catalan(0, max_n=max_n))
     return sweep_totals(n, max_n=max_n).total(s)

@@ -259,6 +259,27 @@ class TestOeis:
         )
         assert code == 1
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_terms_past_int_digit_limit(self, capsys, tmp_path):
+        argv = ["oeis", "--stat", "area", "--offset", "8000", "--first-n", "8000",
+                "--terms", "1"]
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            index, value = out.split()
+            assert index == "8000" and len(value) == 4817
+            bfile = tmp_path / "b_area.txt"
+            bfile.write_text(out)
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            code, out, err = run_cli(capsys, *argv, "--check", str(bfile))
+            assert (code, out, err) == (0, "match: 1 shared terms agree\n", "")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "A999999", "--terms", "3")
         assert code == 2

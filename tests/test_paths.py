@@ -255,6 +255,36 @@ class TestCountFactor:
     def test_occurrence_indices(self):
         assert factor_occurrences(P("UDUDUD"), (U, D, U)) == [0, 2]
 
+    def test_occurrences_match_slice_and_filter_definition(self):
+        patterns = [str(q) for k in range(1, 5) for q in all_step_strings(k)]
+        filters = list(itertools.product((None, True, False), (None, 2)))
+        for n in range(7):
+            for p in enumerate_dyck(n):
+                s = str(p)
+                tail = len(s.rstrip("D"))  # start of the trailing run of D steps
+                for pat in patterns:
+                    k = len(pat)
+                    starts = [i for i in range(len(s) - k + 1) if s[i : i + k] == pat]
+                    for terminal, height in filters:
+                        expected = [
+                            i
+                            for i in starts
+                            if (
+                                height is None
+                                or s[: i + k].count("U") - s[: i + k].count("D")
+                                >= height
+                            )
+                            and (
+                                terminal is None
+                                or all(i + j >= tail for j, c in enumerate(pat) if c == "D")
+                                == terminal
+                            )
+                        ]
+                        got = factor_occurrences(
+                            p, P(pat), min_end_height=height, terminal=terminal
+                        )
+                        assert got == expected, (s, pat, terminal, height)
+
 
 class TestUnits:
     def test_examples(self):
