@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from catalan_lab.verify import (
@@ -43,6 +46,23 @@ def test_identities_count_every_check():
     # ten identities check once per n from their floor; binomial-product-sum
     # checks once per (n, k), 30 pairs for n <= 10
     assert verify_identities(10).cases_run == 92 + 30
+
+
+def test_bijection_check_descriptions_are_pinned(monkeypatch):
+    # every check verify_bijections(8) makes, by description, against the file
+    seen = []
+    check = VerifyReport.check
+
+    def record(self, description, expected, got):
+        seen.append(description)
+        check(self, description, expected, got)
+
+    monkeypatch.setattr(VerifyReport, "check", record)
+    report = verify_bijections(8)
+    pinned = Path(__file__).parent / "data" / "bijection_checks.json"
+    assert report.passed, report.to_text()
+    assert report.cases_run == 481
+    assert sorted(seen) == json.loads(pinned.read_text())
 
 
 class TestRunSuite:
