@@ -98,12 +98,12 @@ def cmd_enumerate(args) -> int:
     stats = _parse_stats(args.stats) if args.stats else []
     if stats and args.kind == "paths":
         raise ValueError("per-item statistics are only available for words")
+    if stats and args.format == "plain":
+        raise ValueError("per-item statistics need --format csv or json")
     if args.kind == "words":
         items = enumerate_catalan(args.n, max_n=args.max_n)
     else:
         items = enumerate_dyck(args.n, max_n=args.max_n)
-    if args.format == "plain":
-        stats = []  # plain prints the items alone, so skip their statistics
     rows = (
         {"index": i, "value": str(item)}
         | ({"stats": {str(s): stat_value(item, s) for s in stats}} if stats else {})
@@ -115,6 +115,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_totals(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
     stats = _parse_stats(args.stats)
     rows = []
     for n in range(1, args.n_max + 1):

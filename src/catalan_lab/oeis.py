@@ -47,6 +47,11 @@ def format_bfile(terms: Iterable[tuple[int, int]]) -> str:
     return "".join(f"{i} {v}\n" for i, v in terms)
 
 
+def _clip(line: str, limit: int = 40) -> str:
+    """repr of a b-file line for an error, cut after ``limit`` characters."""
+    return repr(line) if len(line) <= limit else repr(line[:limit]) + "…"
+
+
 def parse_bfile(text: str) -> dict[int, int]:
     """Parse b-file text, skipping blank lines and # comments."""
     entries: dict[int, int] = {}
@@ -56,11 +61,11 @@ def parse_bfile(text: str) -> dict[int, int]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'index value', got {_clip(raw)}")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer entry {raw!r}") from None
+            raise ValueError(f"line {lineno}: non-integer entry {_clip(raw)}") from None
         if index in entries:
             raise ValueError(f"line {lineno}: duplicate index {index}")
         entries[index] = value

@@ -7,8 +7,9 @@ front end prints these reports; the test suite asserts they are clean.
 """
 
 import itertools
+import random
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from . import bijections as bij
@@ -94,25 +95,115 @@ def marked_set(
 
 def negative_final_paths(n: int) -> list[Path]:
     """All length-2n up/down paths with negative final height."""
-    out = []
-    for steps in itertools.product((U, D), repeat=2 * n):
-        if sum(steps) < 0:
-            out.append(Path(steps))
-    return out
+    steps = itertools.product((U, D), repeat=2 * n)
+    return [Path(s) for s in steps if sum(s) < 0]
 
 
-def _check_bijection(
-    rpt: VerifyReport,
-    label: str,
-    domain: Sequence,
-    images: Sequence[Path],
-    expected_image: Iterable[Path],
-    round_trip_errors: int,
-) -> None:
-    rpt.check(f"{label}: images distinct", len(images), len(set(images)))
-    rpt.check(f"{label}: image set", set(expected_image), set(images))
-    rpt.check(f"{label}: round trips", 0, round_trip_errors)
-    rpt.check(f"{label}: domain size", len(domain), len(images))
+@dataclass(frozen=True)
+class Bijection:
+    """A map that the bijection suite and the random round trips both check.
+
+    ``label`` is a template over ``n``, run at the sizes ``sizes(n_max)``.
+    ``image(n, dyck)`` enumerates the expected image, or is ``None`` when its
+    endpoint class is empty. Inputs that are marks on Dyck paths come from
+    ``marks(p)``, over ``dyck[n - shift]`` or on ``random_dyck_path(n)``;
+    other inputs come from ``domain(n)`` and ``draw_input(n, rng)``.
+    """
+
+    label: str
+    sizes: Callable[[int], range]
+    forward: Callable
+    inverse: Callable
+    image: Callable[[int, dict[int, list[Path]]], list[Path] | None]
+    marks: Callable[[Path], list] | None = None
+    shift: int = 0
+    domain: Callable[[int], list] | None = None
+    draw_input: Callable[[int, random.Random], object] | None = None
+
+    def inputs(self, n: int, dyck: dict[int, list[Path]]) -> list:
+        if self.marks is None:
+            return self.domain(n)
+        return [x for p in dyck[n - self.shift] for x in self.marks(p)]
+
+    def draw(self, n: int, rng: random.Random):
+        """One random input, or None when the drawn path carries no mark."""
+        if self.marks is None:
+            return self.draw_input(n, rng)
+        choices = self.marks(bij.random_dyck_path(n, rng))
+        return rng.choice(choices) if choices else None
+
+
+def _split_reverse(name, pattern, survivor, end, lowest, shift=0, **filters):
+    """Marks of ``pattern`` against the image paths that reach ``lowest``.
+
+    The image paths have 2n - c steps and end at height b, for (c, b) = end.
+    """
+
+    def image(n: int, dyck) -> list[Path] | None:
+        a, b = 2 * n - end[0], end[1]
+        if a < abs(b):
+            return None
+        return [q for q in enumerate_lattice(a, b) if q.min_height <= lowest]
+
+    return Bijection(
+        label=f"split-reverse {name} n={{n}}",
+        sizes=lambda n_max: range(2, n_max + 1),
+        forward=lambda mp: bij.split_reverse(mp, survivor),
+        inverse=lambda q: bij.split_reverse_inverse(q, pattern, survivor),
+        image=image,
+        marks=lambda p: [
+            MarkedPath(p, i, len(pattern))
+            for i in factor_occurrences(p, pattern, **filters)
+        ],
+        shift=shift,
+    )
+
+
+BIJECTIONS: dict[str, Bijection] = {
+    # balanced paths staying above level -2 match Dyck paths one size up
+    "low-path": Bijection(
+        label="low-path map n={n}",
+        sizes=lambda n_max: range(1, n_max + 1),
+        forward=bij.low_path_to_dyck,
+        inverse=bij.dyck_to_low_path,
+        image=lambda n, dyck: dyck[n],
+        domain=lambda n: [
+            p for p in enumerate_lattice(2 * n - 2, 0) if p.min_height >= -1
+        ],
+        draw_input=lambda n, rng: bij.dyck_to_low_path(bij.random_dyck_path(n, rng)),
+    ),
+    # marking a unit corresponds to multi-unit paths one size up
+    "marked-unit": Bijection(
+        label="marked-unit lift m={n}",
+        sizes=lambda n_max: range(1, n_max),
+        forward=lambda mark: bij.lift_marked_unit(*mark),
+        inverse=bij.drop_marked_unit,
+        image=lambda m, dyck: [q for q in dyck[m + 1] if len(units(q)) >= 2],
+        marks=lambda p: [(p, idx) for idx in range(1, len(units(p)) + 1)],
+    ),
+    # a marked factor shrinks to one surviving step between the
+    # reverse-complemented sides; high marks sit on paths two sizes smaller
+    "uu": _split_reverse("uu", (U, U), D, (1, 1), -1),
+    "udu": _split_reverse("udu", (U, D, U), D, (2, 0), -1),
+    "ddu": _split_reverse("ddu", (D, D, U), D, (2, -2), -3),
+    "uuddu": _split_reverse("uuddu", (U, U, D, D, U), U, (4, 2), 0),
+    "high-up": _split_reverse("high-up", (U,), U, (4, 2), -1, 2, min_end_height=2),
+    "high-down": _split_reverse("high-down", (D,), D, (4, -2), -4, 2, min_end_height=2),
+    # area marks against negative-ending paths of the same length
+    "area": Bijection(
+        label="area map n={n}",
+        sizes=lambda n_max: range(1, min(n_max, 8) + 1),
+        forward=bij.area_mark_encode,
+        inverse=bij.area_mark_decode,
+        image=lambda n, dyck: negative_final_paths(n),
+        marks=lambda p: [
+            bij.AreaMark(p, idx, j)
+            for idx, s in enumerate(p.steps)
+            if s == U
+            for j in range(p.height_profile[idx])
+        ],
+    ),
+}
 
 
 def verify_bijections(n_max: int = 8) -> VerifyReport:
@@ -124,78 +215,48 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
 
     for n in range(n_max + 1):
         # reverse-complement is an involution fixing the Dyck class
-        rc_bad = 0
-        rc_images = set()
-        for p in dyck[n]:
-            q = reverse_complement(p)
-            rc_images.add(q)
-            if reverse_complement(q) != p or not is_dyck(q):
-                rc_bad += 1
+        rc = [reverse_complement(p) for p in dyck[n]]
+        rc_bad = sum(
+            reverse_complement(q) != p or not is_dyck(q) for p, q in zip(dyck[n], rc)
+        )
         rpt.check(f"reverse-complement involution on Dyck n={n}", 0, rc_bad)
-        rpt.check(f"reverse-complement image n={n}", set(dyck[n]), rc_images)
+        rpt.check(f"reverse-complement image n={n}", set(dyck[n]), set(rc))
 
     for n in range(n_max + 1):
         # word/path conversion round trips both ways
-        errors = 0
-        images = set()
-        for w in enumerate_catalan(n):
-            p = word_to_path(w)
-            images.add(p)
-            if path_to_word(p) != w:
-                errors += 1
-        for p in dyck[n]:
-            if word_to_path(path_to_word(p)) != p:
-                errors += 1
+        ws = list(enumerate_catalan(n))
+        images = [word_to_path(w) for w in ws]
+        errors = sum(path_to_word(p) != w for w, p in zip(ws, images))
+        errors += sum(word_to_path(path_to_word(p)) != p for p in dyck[n])
         rpt.check(f"word/path round trips n={n}", 0, errors)
-        rpt.check(f"word/path image n={n}", set(dyck[n]), images)
+        rpt.check(f"word/path image n={n}", set(dyck[n]), set(images))
 
-    for n in range(1, n_max + 1):
-        # balanced paths staying above level -2 match Dyck paths one size up
-        domain = [
-            p for p in enumerate_lattice(2 * n - 2, 0) if p.min_height >= -1
-        ]
-        images = []
-        errors = 0
-        for p in domain:
-            q = bij.low_path_to_dyck(p)
-            images.append(q)
-            if bij.dyck_to_low_path(q) != p:
-                errors += 1
-        _check_bijection(rpt, f"low-path map n={n}", domain, images, dyck[n], errors)
-
-    for m in range(1, n_max):
-        # marking a unit corresponds to multi-unit paths one size up
-        domain = [
-            (p, idx) for p in dyck[m] for idx in range(1, len(units(p)) + 1)
-        ]
-        images = []
-        errors = 0
-        for p, idx in domain:
-            q = bij.lift_marked_unit(p, idx)
-            images.append(q)
-            if bij.drop_marked_unit(q) != (p, idx):
-                errors += 1
-        expected = [q for q in dyck[m + 1] if len(units(q)) >= 2]
-        _check_bijection(
-            rpt, f"marked-unit lift m={m}", domain, images, expected, errors
-        )
-        rpt.check(
-            f"marked-unit image count m={m}", C(m + 1) - C(m), len(expected)
-        )
+    for entry in BIJECTIONS.values():
+        for n in entry.sizes(n_max):
+            label = entry.label.format(n=n)
+            domain = entry.inputs(n, dyck)
+            expected = entry.image(n, dyck)
+            if expected is None:
+                rpt.check(f"{label}: empty domain", 0, len(domain))
+                continue
+            expected = set(expected)
+            images = [entry.forward(x) for x in domain]
+            errors = sum(entry.inverse(q) != x for x, q in zip(domain, images))
+            rpt.check(f"{label}: images distinct", len(images), len(set(images)))
+            rpt.check(f"{label}: image set", expected, set(images))
+            rpt.check(f"{label}: round trips", 0, errors)
+            rpt.check(f"{label}: domain size", len(domain), len(expected))
 
     for n in range(4, n_max + 1):
         # inserting the valley factor after high up steps hits every occurrence
         for ell in range(1, n - 2):
             m = n - ell - 1
             domain = marked_set(dyck[m], (U,), min_end_height=2)
-            images = []
-            errors = 0
-            for mp in domain:
-                out = bij.sym_valley_insert(mp, ell)
-                images.append(out)
-                back, ell_back = bij.sym_valley_remove(out)
-                if back != mp or ell_back != ell:
-                    errors += 1
+            images = [bij.sym_valley_insert(mp, ell) for mp in domain]
+            errors = sum(
+                bij.sym_valley_remove(out) != (mp, ell)
+                for mp, out in zip(domain, images)
+            )
             expected = marked_set(dyck[n], bij.sym_valley_pattern(ell))
             rpt.check(
                 f"valley insert images distinct n={n} ell={ell}",
@@ -208,38 +269,6 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
                 set(images),
             )
             rpt.check(f"valley insert round trips n={n} ell={ell}", 0, errors)
-
-    split_reverse_cases = [
-        # label, pattern, filters, survivor, image endpoint, image filter
-        ("uu", (U, U), {}, D, lambda n: (2 * n - 1, 1), lambda q: q.min_height < 0),
-        ("udu", (U, D, U), {}, D, lambda n: (2 * n - 2, 0), lambda q: q.min_height < 0),
-        ("ddu", (D, D, U), {}, D, lambda n: (2 * n - 2, -2), lambda q: q.min_height <= -3),
-        ("uuddu", (U, U, D, D, U), {}, U, lambda n: (2 * n - 4, 2), lambda q: True),
-        ("high-up", (U,), {"min_end_height": 2}, U, lambda n: (2 * n - 4, 2), lambda q: q.min_height < 0),
-        ("high-down", (D,), {"min_end_height": 2}, D, lambda n: (2 * n - 4, -2), lambda q: q.min_height <= -4),
-    ]
-    for n in range(2, n_max + 1):
-        for label, pattern, filters, survivor, endpoint, keep in split_reverse_cases:
-            if label in ("high-up", "high-down"):
-                base = dyck[n - 2]
-            else:
-                base = dyck[n]
-            domain = marked_set(base, pattern, **filters)
-            a, b = endpoint(n)
-            if a < abs(b):
-                rpt.check(f"split-reverse {label} n={n}: empty domain", 0, len(domain))
-                continue
-            images = []
-            errors = 0
-            for mp in domain:
-                q = bij.split_reverse(mp, survivor)
-                images.append(q)
-                if bij.split_reverse_inverse(q, pattern, survivor) != mp:
-                    errors += 1
-            expected = [q for q in enumerate_lattice(a, b) if keep(q)]
-            _check_bijection(
-                rpt, f"split-reverse {label} n={n}", domain, images, expected, errors
-            )
 
     for n in range(1, n_max + 1):
         # run-length vectors of UDU-free paths and the slot-fill covering
@@ -263,9 +292,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
                     hits_path = bij.peak_rebuild(pv)
                     hits[hits_path] = hits.get(hits_path, 0) + 1
             expected_paths = set(by_k.get(k, []))
-            rpt.check(
-                f"slot covering image n={n} k={k}", expected_paths, set(hits)
-            )
+            rpt.check(f"slot covering image n={n} k={k}", expected_paths, set(hits))
             rpt.check(
                 f"slot covering multiplicity n={n} k={k}",
                 {p: k + 1 for p in expected_paths},
@@ -302,48 +329,16 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         rpt.check(f"insert/remove UD round trips n={n}", 0, forward_errors)
         rpt.check(f"insert UD covers Dyck n={n}", set(dyck[n]), seen)
 
-    for n in range(1, min(n_max, 8) + 1):
-        # area marks against negative-ending paths of the same length
-        domain = [
-            bij.AreaMark(p, idx, j)
-            for p in dyck[n]
-            for idx, s in enumerate(p.steps)
-            if s == U
-            for j in range(p.height_profile[idx])
-        ]
-        images = []
-        errors = 0
-        for am in domain:
-            q = bij.area_mark_encode(am)
-            images.append(q)
-            if bij.area_mark_decode(q) != am:
-                errors += 1
-        expected = negative_final_paths(n)
-        _check_bijection(rpt, f"area map n={n}", domain, images, expected, errors)
-        phi_total = sum(
-            h for p in dyck[n] for s, h in zip(p.steps, p.height_profile) if s == U
-        )
-        rpt.check(
-            f"up-step height total n={n}",
-            (4**n - B(2 * n, n)) // 2,
-            phi_total,
-        )
-
     for a, b, level in [(6, 0, -1), (6, 0, -2), (7, 1, -1), (6, -2, -3), (8, 2, -1)]:
         # reflection principle: touching paths match the reflected endpoint class
-        touching = []
-        for p in enumerate_lattice(a, b):
-            heights = (0,) + p.height_profile
-            if level in heights:
-                touching.append(p)
-        errors = 0
-        for p in touching:
-            q = bij.reflect_after_touch(p, level)
-            if (
-                q.final_height != 2 * level - b
-                or bij.reflect_after_touch(q, level) != p
-            ):
-                errors += 1
+        touching = [
+            p for p in enumerate_lattice(a, b) if level in (0,) + p.height_profile
+        ]
+        reflected = [bij.reflect_after_touch(p, level) for p in touching]
+        errors = sum(
+            q.final_height != 2 * level - b or bij.reflect_after_touch(q, level) != p
+            for p, q in zip(touching, reflected)
+        )
         rpt.check(f"reflection involution a={a} b={b} level={level}", 0, errors)
         rpt.check(
             f"reflection count a={a} b={b} level={level}",
@@ -369,18 +364,11 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         for vals in itertools.product(range(-2, 3), repeat=length):
             if sum(vals) != 1:
                 continue
-            valid = []
-            for r in range(1, length + 1):
-                rot = vals[r - 1 :] + vals[: r - 1]
-                s = 0
-                ok = True
-                for v in rot:
-                    s += v
-                    if s <= 0:
-                        ok = False
-                        break
-                if ok:
-                    valid.append(r)
+            valid = [
+                r
+                for r in range(1, length + 1)
+                if min(itertools.accumulate(vals[r - 1 :] + vals[: r - 1])) > 0
+            ]
             if valid != [bij.raney_shift(vals)]:
                 rpt.check(f"raney uniqueness {vals}", [bij.raney_shift(vals)], valid)
         rpt.check(f"raney uniqueness scanned length {length}", True, True)
@@ -423,12 +411,19 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
             1 for p in enumerate_lattice(2 * n - 1, 1) if p.min_height >= 0
         )
         rpt.check(f"first-quadrant endpoint-1 paths n={n}", C(n), quadrant)
+    for m in range(1, n_max):
+        multi_unit = sum(1 for q in dyck[m + 1] if len(units(q)) >= 2)
+        rpt.check(f"marked-unit image count m={m}", C(m + 1) - C(m), multi_unit)
     for n in range(1, min(n_max, 8) + 1):
         rpt.check(
             f"negative-final path count n={n}",
             (4**n - B(2 * n, n)) // 2,
             len(negative_final_paths(n)),
         )
+        phi_total = sum(
+            h for p in dyck[n] for s, h in zip(p.steps, p.height_profile) if s == U
+        )
+        rpt.check(f"up-step height total n={n}", (4**n - B(2 * n, n)) // 2, phi_total)
 
     rpt.elapsed = time.perf_counter() - start
     return rpt

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,6 @@ from catalan_lab import (
     dyck_to_low_path,
     enumerate_dyck,
     enumerate_lattice,
-    factor_occurrences,
     insert_ud,
     is_dyck,
     last_passage_class,
@@ -45,7 +45,7 @@ from catalan_lab import (
     sym_valley_remove,
     units,
 )
-from catalan_lab.verify import marked_set
+from catalan_lab.verify import BIJECTIONS, marked_set, verify_bijections
 
 P = Path.from_string
 
@@ -113,13 +113,11 @@ class TestMarkedUnit:
         images = {
             lift_marked_unit(p, i)
             for p in enumerate_dyck(2)
-            for i in range(1, len(__import__("catalan_lab").units(p)) + 1)
+            for i in range(1, len(units(p)) + 1)
         }
         assert len(images) == catalan(3) - catalan(2) == 3
 
     def test_round_trip_exhaustive(self):
-        from catalan_lab import units
-
         for m in range(1, 6):
             for p in enumerate_dyck(m):
                 for idx in range(1, len(units(p)) + 1):
@@ -204,19 +202,10 @@ class TestRaney:
 
     @staticmethod
     def valid_shifts(vals):
-        out = []
-        for r in range(1, len(vals) + 1):
-            rot = vals[r - 1 :] + vals[: r - 1]
-            partial = 0
-            ok = True
-            for v in rot:
-                partial += v
-                if partial <= 0:
-                    ok = False
-                    break
-            if ok:
-                out.append(r)
-        return out
+        lows = [
+            min(itertools.accumulate(vals[r:] + vals[:r])) for r in range(len(vals))
+        ]
+        return [r + 1 for r, low in enumerate(lows) if low > 0]
 
     def test_uniqueness_exhaustive_short(self):
         for length in range(1, 7):
@@ -354,13 +343,7 @@ class TestAreaMap:
         assert str(area_mark_encode(AreaMark(P("UDUD"), 2, 0))) == "DUDD"
 
     def test_l2_exhausted(self):
-        marks = [
-            AreaMark(p, idx, j)
-            for p in enumerate_dyck(2)
-            for idx, s in enumerate(p.steps)
-            if s == U
-            for j in range(p.height_profile[idx])
-        ]
+        marks = [am for p in enumerate_dyck(2) for am in BIJECTIONS["area"].marks(p)]
         images = {area_mark_encode(am) for am in marks}
         assert len(marks) == len(images) == 5
         all_l2 = {
@@ -376,12 +359,8 @@ class TestAreaMap:
     def test_round_trip_exhaustive(self):
         for n in range(1, 6):
             for p in enumerate_dyck(n):
-                for idx, s in enumerate(p.steps):
-                    if s != U:
-                        continue
-                    for j in range(p.height_profile[idx]):
-                        am = AreaMark(p, idx, j)
-                        assert area_mark_decode(area_mark_encode(am)) == am
+                for am in BIJECTIONS["area"].marks(p):
+                    assert area_mark_decode(area_mark_encode(am)) == am
 
     def test_mark_validation(self):
         with pytest.raises(ValueError):
@@ -473,49 +452,31 @@ random_paths = settings(max_examples=25, deadline=None)(
 class TestRandomRoundTrips:
     """Each bijection's round trip on paths drawn by the library's sampler."""
 
-    @pytest.mark.parametrize(
-        "pattern, filters, survivor",
-        [
-            ((U, U), {}, D),
-            ((U, D, U), {}, D),
-            ((D, D, U), {}, D),
-            ((U, U, D, D, U), {}, U),
-            ((U,), {"min_end_height": 2}, U),
-            ((D,), {"min_end_height": 2}, D),
-        ],
-        ids=["uu", "udu", "ddu", "uuddu", "high-up", "high-down"],
-    )
+    @staticmethod
+    def round_trip(name, n, seed):
+        """A random input of the table entry and its image mapped back, or None."""
+        entry = BIJECTIONS[name]
+        x = entry.draw(n, random.Random(seed))
+        if name == "low-path":
+            # drawn through the inverse, so check it lands in the domain
+            assert x.min_height >= -1
+        return None if x is None else (x, entry.inverse(entry.forward(x)))
+
+    @pytest.mark.parametrize("name", list(BIJECTIONS))
     @random_paths
-    def test_split_reverse(self, pattern, filters, survivor, n, seed):
-        rng = random.Random(seed)
-        p = random_dyck_path(n, rng)
-        starts = factor_occurrences(p, pattern, **filters)
-        assume(starts)
-        mp = MarkedPath(p, rng.choice(starts), len(pattern))
-        image = split_reverse(mp, survivor)
-        assert split_reverse_inverse(image, pattern, survivor) == mp
+    def test_round_trip(self, name, n, seed):
+        trip = self.round_trip(name, n, seed)
+        assume(trip is not None)
+        x, back = trip
+        assert back == x
 
     @random_paths
-    def test_marked_unit(self, n, seed):
+    def test_valley_insert(self, n, seed):
         rng = random.Random(seed)
-        p = random_dyck_path(n, rng)
-        idx = rng.randint(1, len(units(p)))
-        assert drop_marked_unit(lift_marked_unit(p, idx)) == (p, idx)
-
-    @random_paths
-    def test_low_path(self, n, seed):
-        p = random_dyck_path(n, random.Random(seed))
-        low = dyck_to_low_path(p)
-        assert low.min_height >= -1
-        assert low_path_to_dyck(low) == p
-
-    @random_paths
-    def test_area_mark(self, n, seed):
-        rng = random.Random(seed)
-        p = random_dyck_path(n, rng)
-        up = rng.choice([i for i, s in enumerate(p.steps) if s == U])
-        am = AreaMark(p, up, rng.randrange(p.height_profile[up]))
-        assert area_mark_decode(area_mark_encode(am)) == am
+        marks = marked_set([random_dyck_path(n, rng)], (U,), min_end_height=2)
+        assume(marks)
+        mp, ell = rng.choice(marks), rng.randint(1, n)
+        assert sym_valley_remove(sym_valley_insert(mp, ell)) == (mp, ell)
 
     @random_paths
     def test_peak_vector(self, n, seed):
@@ -528,3 +489,20 @@ class TestRandomRoundTrips:
         p = random_dyck_path(n, random.Random(seed))
         precursor, positions = remove_ud(p)
         assert insert_ud(precursor, positions) == p
+
+
+@pytest.mark.parametrize("name", list(BIJECTIONS))
+def test_broken_inverse_fails_only_its_entry(monkeypatch, name):
+    entry = BIJECTIONS[name]
+    monkeypatch.setitem(BIJECTIONS, name, replace(entry, inverse=lambda q: None))
+    dyck = {n: list(enumerate_dyck(n)) for n in range(6)}
+    expected = {
+        f"{entry.label.format(n=n)}: round trips"
+        for n in entry.sizes(5)
+        if entry.image(n, dyck) is not None and entry.inputs(n, dyck)
+    }
+    report = verify_bijections(5)
+    assert expected
+    assert {desc for desc, _, _ in report.failures} == expected
+    x, back = TestRandomRoundTrips.round_trip(name, 60, seed=0)
+    assert back != x

@@ -149,6 +149,10 @@ class TestTotals:
         code, out, _ = run_cli(capsys, "totals", "--n-max", "0", "--stats", "area")
         assert code == 0 and out == ""
 
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "totals", "--n-max", "-2", "--stats", "area")
+        assert (code, out) == (2, "") and "nonnegative" in err
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         import catalan_lab.cli as cli_mod
 
@@ -303,6 +307,12 @@ class TestBfileHelpers:
         with pytest.raises(ValueError):
             parse_bfile("1 2\n1 3\n")
 
+    @pytest.mark.parametrize("line", ["5 " + "9" * 3000 + "x", "1 2 " + "3" * 3000])
+    def test_parse_error_quotes_a_short_prefix(self, line):
+        with pytest.raises(ValueError, match="…") as exc:
+            parse_bfile(line)
+        assert len(str(exc.value)) < 100
+
     def test_first_divergence_requires_overlap(self):
         with pytest.raises(ValueError):
             first_divergence([(1, 1)], {5: 9})
@@ -448,7 +458,8 @@ class TestGoldenOutput:
 
     ``data/cli_golden.json`` was recorded from the CLI while each command
     still wrote its own csv and json code, so it pins the shared row writer
-    to that output.
+    to that output. A case with a ``stderr`` entry is a usage error; every
+    other case writes nothing to stderr.
     """
 
     GOLDEN = json.loads(
@@ -461,4 +472,6 @@ class TestGoldenOutput:
     def test_output_is_pinned(self, capsys, case):
         expected = self.GOLDEN[case]
         code, out, err = run_cli(capsys, *case.split())
-        assert (code, out, err) == (expected["exit"], expected["stdout"], "")
+        assert (code, out, err) == (
+            expected["exit"], expected["stdout"], expected.get("stderr", "")
+        )

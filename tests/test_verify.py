@@ -59,9 +59,9 @@ def test_bijection_check_descriptions_are_pinned(monkeypatch):
 
     monkeypatch.setattr(VerifyReport, "check", record)
     report = verify_bijections(8)
-    pinned = Path(__file__).parent / "data" / "bijection_checks.json"
     assert report.passed, report.to_text()
     assert report.cases_run == 481
+    pinned = Path(__file__).parent / "data" / "bijection_checks.json"
     assert sorted(seen) == json.loads(pinned.read_text())
 
 
