@@ -48,8 +48,8 @@ def test_identities_count_every_check():
     assert verify_identities(10).cases_run == 92 + 30
 
 
-def test_bijection_check_descriptions_are_pinned(monkeypatch):
-    # every check verify_bijections(8) makes, by description, against the file
+def _pinned_descriptions(monkeypatch, suite_fn, n_max, data_file):
+    # every check suite_fn(n_max) makes, by description, and the pinned file's
     seen = []
     check = VerifyReport.check
 
@@ -58,11 +58,26 @@ def test_bijection_check_descriptions_are_pinned(monkeypatch):
         check(self, description, expected, got)
 
     monkeypatch.setattr(VerifyReport, "check", record)
-    report = verify_bijections(8)
+    report = suite_fn(n_max)
     assert report.passed, report.to_text()
+    pinned = Path(__file__).parent / "data" / data_file
+    return report, sorted(seen), json.loads(pinned.read_text())
+
+
+def test_bijection_check_descriptions_are_pinned(monkeypatch):
+    report, seen, pinned = _pinned_descriptions(
+        monkeypatch, verify_bijections, 8, "bijection_checks.json"
+    )
     assert report.cases_run == 481
-    pinned = Path(__file__).parent / "data" / "bijection_checks.json"
-    assert sorted(seen) == json.loads(pinned.read_text())
+    assert seen == pinned
+
+
+def test_transport_check_descriptions_are_pinned(monkeypatch):
+    report, seen, pinned = _pinned_descriptions(
+        monkeypatch, verify_transport, 9, "transport_checks.json"
+    )
+    assert report.cases_run == 49
+    assert seen == pinned
 
 
 class TestRunSuite:
