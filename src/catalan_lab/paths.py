@@ -118,12 +118,7 @@ class Endpoint:
 
 def is_dyck(p: Path) -> bool:
     """True when every prefix height is nonnegative and the path ends at 0."""
-    h = 0
-    for s in p.steps:
-        h += s
-        if h < 0:
-            return False
-    return h == 0
+    return p.min_height == 0 and p.final_height == 0
 
 
 def _require_dyck(p: Path) -> None:
@@ -131,31 +126,10 @@ def _require_dyck(p: Path) -> None:
         raise ValueError(f"expected a Dyck path, got {p!r}")
 
 
-def enumerate_dyck(
-    n: int,
-    *,
-    max_n: int | None = None,
-    prefix: Sequence[int] = (),
-) -> Iterator[Path]:
-    """Yield all Dyck paths of length 2n in lexicographic order (U < D).
-
-    ``prefix`` restricts the stream to paths extending the given steps, which
-    shards the enumeration for parallel consumption.
-    """
+def enumerate_dyck(n: int, *, max_n: int | None = None) -> Iterator[Path]:
+    """Yield all Dyck paths of length 2n in lexicographic order (U < D)."""
     check_ceiling(n, max_n)
-    prefix = tuple(prefix)
-    if len(prefix) > 2 * n:
-        raise ValueError("prefix longer than the requested paths")
-    ups = prefix.count(U)
-    h = 0
-    for s in prefix:
-        h += s
-        if h < 0:
-            raise ValueError("prefix dips below the x-axis")
-    if ups > n or h > 2 * n - len(prefix):
-        raise ValueError("prefix cannot extend to a Dyck path of this length")
-
-    seq = list(prefix)
+    seq: list[int] = []
 
     def rec(ups: int, height: int) -> Iterator[Path]:
         if len(seq) == 2 * n:
@@ -170,7 +144,7 @@ def enumerate_dyck(
             yield from rec(ups, height - 1)
             seq.pop()
 
-    return rec(ups, h)
+    return rec(0, 0)
 
 
 def enumerate_lattice(a: int, b: int, *, max_n: int | None = None) -> Iterator[Path]:

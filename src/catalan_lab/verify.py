@@ -9,6 +9,7 @@ front end prints these reports; the test suite asserts they are clean.
 import itertools
 import random
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .paths import (
 from .words import (
     StatId,
     StatKind,
+    Word,
     asc_des_lev,
     brute_total,
     enumerate_catalan,
@@ -91,6 +93,20 @@ def marked_set(
         ):
             out.append(MarkedPath(p, i, len(pattern)))
     return out
+
+
+# Path-side count of each marked factor, read by the transport suite (against
+# stat_value) and by the marked-set cardinalities (against binomials).
+FACTOR_COUNTS: dict[str, Callable[[Path], int]] = {
+    "uu": lambda p: count_factor(p, (U, U)),
+    "ddu": lambda p: count_factor(p, (D, D, U)),
+    "udu": lambda p: count_factor(p, (U, D, U)),
+    "uuddu": lambda p: count_factor(p, (U, U, D, D, U)),
+    "uudd non-terminal": lambda p: count_factor(p, (U, U, D, D), terminal=False),
+    "deep-valley": lambda p: sum(
+        count_factor(p, (U,) + (D,) * j + (U, U)) for j in range(2, p.length)
+    ),
+}
 
 
 def negative_final_paths(n: int) -> list[Path]:
@@ -376,20 +392,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     for n in range(1, n_max + 1):
         # marked-set cardinalities against their closed forms
         paths = dyck[n]
-        counts = {
-            "uu": sum(count_factor(p, (U, U)) for p in paths),
-            "ddu": sum(count_factor(p, (D, D, U)) for p in paths),
-            "udu": sum(count_factor(p, (U, D, U)) for p in paths),
-            "uuddu": sum(count_factor(p, (U, U, D, D, U)) for p in paths),
-            "uudd non-terminal": sum(
-                count_factor(p, (U, U, D, D), terminal=False) for p in paths
-            ),
-            "deep-valley": sum(
-                count_factor(p, (U,) + (D,) * j + (U, U))
-                for p in paths
-                for j in range(2, 2 * n)
-            ),
-        }
+        counts = {name: sum(map(f, paths)) for name, f in FACTOR_COUNTS.items()}
         expected_counts = {
             "uu": B(2 * n - 1, n - 2),
             "ddu": B(2 * n - 2, n - 3),
@@ -443,84 +446,59 @@ def _positive_compositions(total: int, parts: int):
         yield tuple(c + 1 for c in comp)
 
 
+def _transport_sides(w: Word) -> dict[str, tuple[int, int]]:
+    """Each statistic of one word beside its counterpart on the word's path."""
+    p = word_to_path(w)
+    n = len(w)
+    asc, des, lev = asc_des_lev(w)
+    factors = {name: count(p) for name, count in FACTOR_COUNTS.items()}
+
+    def stat(kind: StatKind, ell: int | None = None) -> int:
+        return stat_value(w, StatId(kind, ell))
+
+    return {
+        "asc+des+lev": (n - 1, asc + des + lev),
+        **{
+            f"sym-valley ell={ell}": (
+                stat(StatKind.SYM_VALLEY, ell),
+                count_factor(p, bij.sym_valley_pattern(ell)),
+            )
+            for ell in range(1, n + 1)
+        },
+        "ell-valley 1": (stat(StatKind.ELL_VALLEY, 1), factors["deep-valley"]),
+        "sym-peak 1": (stat(StatKind.SYM_PEAK, 1), factors["uuddu"]),
+        "ell-peak 1": (stat(StatKind.ELL_PEAK, 1), factors["uudd non-terminal"]),
+        "descents as DDU": (des, factors["ddu"]),
+        "runs of descents": (
+            stat(StatKind.RUNS_DESC),
+            1 + factors["uu"] + factors["udu"],
+        ),
+        "runs of weak ascents": (stat(StatKind.RUNS_WEAK_ASC), 1 + des),
+        "runs of ascents": (stat(StatKind.RUNS_ASC), 1 + des + lev),
+        "runs of weak descents": (stat(StatKind.RUNS_WEAK_DESC), 1 + asc),
+        "semi-perimeter": (stat(StatKind.SEMI), n + 1 + asc),
+        "hu corners": (stat(StatKind.CORNER_HU), asc),
+        "dh corners": (stat(StatKind.CORNER_DH), des),
+        "area as up-step heights": (
+            stat(StatKind.AREA),
+            sum(h for s, h in zip(p.steps, p.height_profile) if s == U),
+        ),
+    }
+
+
 def verify_transport(n_max: int = 9) -> VerifyReport:
     """Word statistics against their factor counterparts on the path side."""
     rpt = VerifyReport("transport")
     start = time.perf_counter()
     for n in range(1, n_max + 1):
-        mismatches: dict[str, int] = {}
-
-        def tally(name: str, expected, got) -> None:
-            if expected != got:
-                mismatches[name] = mismatches.get(name, 0) + 1
-
+        mismatches: Counter[str] = Counter()
         for w in enumerate_catalan(n):
-            p = word_to_path(w)
-            asc, des, lev = asc_des_lev(w)
-            tally("asc+des+lev", len(w) - 1, asc + des + lev)
-            for ell in range(1, n + 1):
-                tally(
-                    f"sym-valley ell={ell}",
-                    stat_value(w, StatId(StatKind.SYM_VALLEY, ell)),
-                    count_factor(p, bij.sym_valley_pattern(ell)),
-                )
-            tally(
-                "ell-valley 1",
-                stat_value(w, StatId(StatKind.ELL_VALLEY, 1)),
-                sum(
-                    count_factor(p, (U,) + (D,) * j + (U, U))
-                    for j in range(2, 2 * n)
-                ),
-            )
-            tally(
-                "sym-peak 1",
-                stat_value(w, StatId(StatKind.SYM_PEAK, 1)),
-                count_factor(p, (U, U, D, D, U)),
-            )
-            tally(
-                "ell-peak 1",
-                stat_value(w, StatId(StatKind.ELL_PEAK, 1)),
-                count_factor(p, (U, U, D, D), terminal=False),
-            )
-            tally("descents as DDU", des, count_factor(p, (D, D, U)))
-            tally(
-                "runs of descents",
-                stat_value(w, StatId(StatKind.RUNS_DESC)),
-                1 + count_factor(p, (U, U)) + count_factor(p, (U, D, U)),
-            )
-            tally(
-                "runs of weak ascents",
-                stat_value(w, StatId(StatKind.RUNS_WEAK_ASC)),
-                1 + des,
-            )
-            tally(
-                "runs of ascents",
-                stat_value(w, StatId(StatKind.RUNS_ASC)),
-                1 + des + lev,
-            )
-            tally(
-                "runs of weak descents",
-                stat_value(w, StatId(StatKind.RUNS_WEAK_DESC)),
-                1 + asc,
-            )
-            tally(
-                "semi-perimeter",
-                stat_value(w, StatId(StatKind.SEMI)),
-                n + 1 + asc,
-            )
-            tally("hu corners", stat_value(w, StatId(StatKind.CORNER_HU)), asc)
-            tally("dh corners", stat_value(w, StatId(StatKind.CORNER_DH)), des)
-            tally(
-                "area as up-step heights",
-                stat_value(w, StatId(StatKind.AREA)),
-                sum(h for s, h in zip(p.steps, p.height_profile) if s == U),
-            )
-        rpt.check(f"transport n={n}", {}, mismatches)
+            sides = _transport_sides(w)
+            mismatches.update(name for name, (a, b) in sides.items() if a != b)
+        rpt.check(f"transport n={n}", {}, dict(mismatches))
     for n in range(5, n_max + 1):
         # adding copies of the middle letter shifts ell without changing counts
         for ell in range(2, n - 3):
-            if n - ell + 1 < 4:
-                continue
             for kind in (StatKind.ELL_VALLEY, StatKind.ELL_PEAK, StatKind.SYM_PEAK, StatKind.SYM_VALLEY):
                 rpt.check(
                     f"ell shift {kind.value} n={n} ell={ell}",

@@ -88,6 +88,14 @@ class TestIsDyck:
         assert is_dyck(Path(()))
         assert not is_dyck(P("UU"))
 
+    def test_matches_running_sum_definition(self):
+        # every step string up to length 10, odd lengths included
+        for length in range(11):
+            for p in all_step_strings(length):
+                sums = list(itertools.accumulate(p.steps))
+                expected = all(h >= 0 for h in sums) and sum(p.steps) == 0
+                assert is_dyck(p) == expected, p
+
 
 class TestEnumerateDyck:
     def test_empty_case(self):
@@ -141,16 +149,6 @@ class TestEnumerateDyck:
             ValueError, match="CATALAN_LAB_MAX_N must be nonnegative, got -5"
         ):
             next(enumerate_dyck(0))
-
-    def test_prefix_sharding(self):
-        n = 5
-        whole = list(enumerate_dyck(n))
-        shards = []
-        for first_two in [(U, U), (U, D)]:
-            shards.extend(enumerate_dyck(n, prefix=first_two))
-        assert sorted(map(str, shards)) == sorted(map(str, whole))
-        with pytest.raises(ValueError):
-            next(enumerate_dyck(3, prefix=(D,)))
 
 
 class TestEnumerateLattice:

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from catalan_lab import catalan
 from catalan_lab.verify import (
+    FACTOR_COUNTS,
     SUITE_CAPS,
     VerifyReport,
     run_suite,
@@ -78,6 +80,32 @@ def test_transport_check_descriptions_are_pinned(monkeypatch):
     )
     assert report.cases_run == 49
     assert seen == pinned
+
+
+# the transport comparisons that read each FACTOR_COUNTS entry
+FACTOR_READERS = {
+    "uu": "runs of descents",
+    "ddu": "descents as DDU",
+    "udu": "runs of descents",
+    "uuddu": "sym-peak 1",
+    "uudd non-terminal": "ell-peak 1",
+    "deep-valley": "ell-valley 1",
+}
+
+
+@pytest.mark.parametrize("name", list(FACTOR_COUNTS))
+def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
+    count = FACTOR_COUNTS[name]
+    monkeypatch.setitem(FACTOR_COUNTS, name, lambda p: count(p) + 1)
+    transport = verify_transport(5)
+    assert transport.failures == [
+        (f"transport n={n}", {}, {FACTOR_READERS[name]: catalan(n)})
+        for n in range(1, 6)
+    ]
+    bijections = verify_bijections(5)
+    assert [desc for desc, _, _ in bijections.failures] == [
+        f"marked factor counts n={n}" for n in range(1, 6)
+    ]
 
 
 class TestRunSuite:
