@@ -445,6 +445,12 @@ _GOLDEN_TABLES = [
     "distribution --stat runs-asc --n 5",
     "distribution --stat runs-asc --n 0",
     "distribution --stat area --n 4",
+] + [
+    f"distribution --stat {kind} --n 6"
+    for kind in (
+        "runs-desc", "runs-weak-asc", "runs-weak-desc", "corner-hu", "corner-dh",
+        "semi",
+    )
 ]
 _GOLDEN_CASES = [
     f"{table} --format {fmt}"
