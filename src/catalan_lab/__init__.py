@@ -42,7 +42,13 @@ from .formulas import (
     identity_check,
     narayana,
 )
-from .limits import DEFAULT_MAX_N, ENV_VAR, EnumerationLimitError, enumeration_ceiling
+from .limits import (
+    COUNT_MAX_N,
+    DEFAULT_MAX_N,
+    ENV_VAR,
+    EnumerationLimitError,
+    enumeration_ceiling,
+)
 from .paths import (
     D,
     U,
@@ -67,6 +73,7 @@ from .verify import (
     verify_transport,
 )
 from .words import (
+    ADJACENCY_INCREMENTS,
     BarStep,
     StatId,
     StatKind,
@@ -75,6 +82,7 @@ from .words import (
     asc_des_lev,
     bargraph_path,
     brute_total,
+    count_histogram,
     enumerate_catalan,
     path_to_word,
     stat_value,

@@ -25,9 +25,11 @@ from .limits import EnumerationLimitError
 from .paths import enumerate_dyck
 from .verify import SUITE_CAPS, run_suite
 from .words import (
+    ADJACENCY_INCREMENTS,
     StatId,
     StatKind,
     SweepTotals,
+    count_histogram,
     enumerate_catalan,
     stat_value,
     sweep_totals,
@@ -191,10 +193,13 @@ def cmd_oeis(args) -> int:
 
 def cmd_distribution(args) -> int:
     stat = StatId.parse(args.stat)
-    hist: dict[int, int] = {}
-    for w in enumerate_catalan(args.n, max_n=args.max_n):
-        value = stat_value(w, stat)
-        hist[value] = hist.get(value, 0) + 1
+    if stat.kind in ADJACENCY_INCREMENTS:
+        hist = count_histogram(args.n, stat.kind)
+    else:
+        hist = {}
+        for w in enumerate_catalan(args.n, max_n=args.max_n):
+            value = stat_value(w, stat)
+            hist[value] = hist.get(value, 0) + 1
     narayana_kinds = (StatKind.RUNS_ASC, StatKind.RUNS_WEAK_DESC)
     with_narayana = stat.kind in narayana_kinds
     rows = []

@@ -3,13 +3,18 @@
 Exhaustive enumeration grows like the Catalan numbers, so every enumerator
 refuses sizes above a configurable ceiling instead of silently grinding.
 Precedence: explicit ``max_n`` argument (CLI flag) > the ``CATALAN_LAB_MAX_N``
-environment variable > the built-in default.
+environment variable > the built-in default. Counts that enumerate nothing
+are bounded by the fixed ``COUNT_MAX_N`` instead.
 """
 
 import os
 
 DEFAULT_MAX_N = 16
 ENV_VAR = "CATALAN_LAB_MAX_N"
+
+# Counts that enumerate nothing (words.count_histogram) cost a polynomial in n
+# and ignore the ceiling; this fixed cap keeps one call to a few seconds.
+COUNT_MAX_N = 400
 
 
 class EnumerationLimitError(Exception):

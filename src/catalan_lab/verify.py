@@ -25,16 +25,17 @@ from .paths import (
     enumerate_dyck,
     enumerate_lattice,
     factor_occurrences,
-    is_dyck,
     reverse_complement,
     units,
 )
 from .words import (
+    ADJACENCY_INCREMENTS,
     StatId,
     StatKind,
     Word,
     asc_des_lev,
     brute_total,
+    count_histogram,
     enumerate_catalan,
     path_to_word,
     stat_value,
@@ -230,13 +231,13 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     B = formulas.binomial
 
     for n in range(n_max + 1):
-        # reverse-complement is an involution fixing the Dyck class
+        # reverse-complement is an involution fixing the Dyck class; the image
+        # check rejects any non-Dyck image
         rc = [reverse_complement(p) for p in dyck[n]]
-        rc_bad = sum(
-            reverse_complement(q) != p or not is_dyck(q) for p, q in zip(dyck[n], rc)
-        )
+        rc_bad = sum(reverse_complement(q) != p for p, q in zip(dyck[n], rc))
         rpt.check(f"reverse-complement involution on Dyck n={n}", 0, rc_bad)
         rpt.check(f"reverse-complement image n={n}", set(dyck[n]), set(rc))
+    del rc  # free the last images before the larger domains below
 
     for n in range(n_max + 1):
         # word/path conversion round trips both ways
@@ -512,14 +513,15 @@ def verify_transport(n_max: int = 9) -> VerifyReport:
 def verify_distributions(n_max: int = 10) -> VerifyReport:
     rpt = VerifyReport("distributions")
     start = time.perf_counter()
+    adjacency = [StatId(kind) for kind in ADJACENCY_INCREMENTS]
     for n in range(1, n_max + 1):
-        runs_asc: dict[int, int] = {}
-        runs_weak_desc: dict[int, int] = {}
+        hists: dict[StatId, dict[int, int]] = {s: {} for s in adjacency}
         for w in enumerate_catalan(n):
-            k = stat_value(w, StatId(StatKind.RUNS_ASC))
-            runs_asc[k] = runs_asc.get(k, 0) + 1
-            k = stat_value(w, StatId(StatKind.RUNS_WEAK_DESC))
-            runs_weak_desc[k] = runs_weak_desc.get(k, 0) + 1
+            for s, hist in hists.items():
+                k = stat_value(w, s)
+                hist[k] = hist.get(k, 0) + 1
+        runs_asc = hists[StatId(StatKind.RUNS_ASC)]
+        runs_weak_desc = hists[StatId(StatKind.RUNS_WEAK_DESC)]
         narayana_row = {
             k: formulas.narayana(n, k)
             for k in range(1, n + 1)
@@ -544,6 +546,9 @@ def verify_distributions(n_max: int = 10) -> VerifyReport:
             [formulas.narayana(n, k) for k in range(1, n + 1)],
             [formulas.narayana(n, n + 1 - k) for k in range(1, n + 1)],
         )
+        # the histogram count against the stat_value histogram
+        for s, hist in hists.items():
+            rpt.check(f"{s} histogram count n={n}", hist, count_histogram(n, s.kind))
     rpt.elapsed = time.perf_counter() - start
     return rpt
 

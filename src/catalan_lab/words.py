@@ -4,7 +4,9 @@ A Catalan word starts at 1 and never rises by more than one letter at a
 time. The module enumerates words, converts between words and Dyck paths
 (i-th up step ends at height of the i-th letter), evaluates every tracked
 statistic on a single word, and computes totals over all words of a given
-length by counting the prefixes that reach each run-automaton state.
+length by counting the prefixes that reach each run-automaton state. The
+histograms of the adjacency statistics come from a count over the last
+letter, with no enumeration.
 """
 
 from collections.abc import Iterator, Sequence
@@ -13,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 
-from .limits import check_ceiling
+from .limits import COUNT_MAX_N, check_ceiling
 from .paths import D, U, Path, _require_dyck
 
 
@@ -72,6 +74,21 @@ class StatKind(Enum):
 PATTERN_KINDS = frozenset(
     {StatKind.SYM_VALLEY, StatKind.ELL_VALLEY, StatKind.SYM_PEAK, StatKind.ELL_PEAK}
 )
+
+
+# The adjacency statistics: the value on the word "1", then the increment each
+# later letter c adds after the letter x before it, when c < x, c = x and
+# c = x + 1. The count side (SweepTotals.total, count_histogram) reads this
+# table; stat_value does not, so it stays the definition-level oracle.
+ADJACENCY_INCREMENTS: dict[StatKind, tuple[int, tuple[int, int, int]]] = {
+    StatKind.RUNS_DESC: (1, (0, 1, 1)),
+    StatKind.RUNS_WEAK_ASC: (1, (1, 0, 0)),
+    StatKind.RUNS_ASC: (1, (1, 1, 0)),
+    StatKind.RUNS_WEAK_DESC: (1, (0, 0, 1)),
+    StatKind.CORNER_HU: (0, (0, 0, 1)),
+    StatKind.CORNER_DH: (0, (1, 0, 0)),
+    StatKind.SEMI: (2, (1, 1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -286,19 +303,17 @@ def stat_value(w: Word, s: StatId) -> int:
         StatKind.RUNS_WEAK_DESC,
     ):
         return _count_runs(w, kind)
-    if kind is StatKind.CORNER_HU:
-        if not w.letters:
-            return 0
-        return _walk_corners(bargraph_path(w))[0]
-    if kind is StatKind.CORNER_DH:
-        if not w.letters:
-            return 0
-        return _walk_corners(bargraph_path(w))[1]
-    if kind is StatKind.SEMI:
-        walk = bargraph_path(w)
-        return len(w.letters) + sum(1 for step in walk if step is BarStep.UP)
     if kind is StatKind.AREA:
         return sum(w.letters)
+    if not w.letters:
+        return 0  # the empty word has no column diagram: no corner, no perimeter
+    walk = bargraph_path(w)
+    if kind is StatKind.CORNER_HU:
+        return _walk_corners(walk)[0]
+    if kind is StatKind.CORNER_DH:
+        return _walk_corners(walk)[1]
+    if kind is StatKind.SEMI:
+        return len(w.letters) + sum(1 for step in walk if step is BarStep.UP)
     raise ValueError(f"unknown statistic {s!r}")
 
 
@@ -343,20 +358,14 @@ class SweepTotals:
             if s.ell is None:
                 return sum(table.values())
             return table.get(s.ell, 0)
-        if kind is StatKind.RUNS_DESC:
-            return self.words + self.ascents + self.levels
-        if kind is StatKind.RUNS_WEAK_ASC:
-            return self.words + self.descents
-        if kind is StatKind.RUNS_ASC:
-            return self.words + self.descents + self.levels
-        if kind is StatKind.RUNS_WEAK_DESC:
-            return self.words + self.ascents
-        if kind is StatKind.CORNER_HU:
-            return self.ascents
-        if kind is StatKind.CORNER_DH:
-            return self.descents
-        if kind is StatKind.SEMI:
-            return (self.n + 1) * self.words + self.ascents
+        if kind in ADJACENCY_INCREMENTS:
+            first, (lt, eq, up) = ADJACENCY_INCREMENTS[kind]
+            return (
+                first * self.words
+                + lt * self.descents
+                + eq * self.levels
+                + up * self.ascents
+            )
         if kind is StatKind.AREA:
             return self.area
         raise ValueError(f"unknown statistic {s!r}")
@@ -473,3 +482,48 @@ def brute_total(n: int, s: StatId, *, max_n: int | None = None) -> int:
     if n == 0:
         return sum(stat_value(w, s) for w in enumerate_catalan(0, max_n=max_n))
     return sweep_totals(n, max_n=max_n).total(s)
+
+
+def count_histogram(n: int, kind: StatKind) -> dict[int, int]:
+    """Histogram ``{value: words}`` of an adjacency statistic over length n.
+
+    A bivariate transfer-matrix count over the last letter x, with the
+    statistic's value marked (Flajolet & Sedgewick, ch. V). The words of a
+    length that end in x form the polynomial sum of count * u**value, kept
+    as one integer at u = 2**bits: every count is at most C_n < 4**n, so
+    ``bits = 2n`` keeps the coefficients apart. A letter c follows every
+    x >= c - 1 and adds the ``ADJACENCY_INCREMENTS`` entry for c < x, c = x
+    or c = x + 1, which is a left shift; the prefixes ending above c are
+    one running suffix sum over x. Each length thus costs O(n) additions of
+    O(n**2)-bit integers. Nothing is enumerated, so the size is bounded by
+    ``COUNT_MAX_N`` rather than by the enumeration ceiling.
+    """
+    if kind not in ADJACENCY_INCREMENTS:
+        raise ValueError(f"{kind.value} has no histogram count")
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    if n > COUNT_MAX_N:
+        raise ValueError(f"n={n} exceeds the histogram count cap {COUNT_MAX_N}")
+    if n == 0:
+        return {0: 1}
+    bits = 2 * n
+    first, increments = ADJACENCY_INCREMENTS[kind]
+    # every later letter adds at least ``base``; only the excess is marked
+    base = min(increments)
+    lt, eq, up = (bits * (inc - base) for inc in increments)
+    ends = [0, 1]  # ends[x], for the words of length 1
+    for length in range(2, n + 1):
+        ends.append(0)
+        above = 0
+        stepped = [0] * (length + 1)
+        for c in range(length, 0, -1):
+            stepped[c] = (above << lt) + (ends[c] << eq) + (ends[c - 1] << up)
+            above += ends[c]
+        ends = stepped
+    packed, mask = sum(ends), (1 << bits) - 1
+    offset = first + (n - 1) * base
+    return {
+        offset + value: count
+        for value in range(packed.bit_length() // bits + 1)
+        if (count := (packed >> (bits * value)) & mask)
+    }

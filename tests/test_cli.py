@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from catalan_lab import ADJACENCY_INCREMENTS, COUNT_MAX_N, StatKind, narayana
 from catalan_lab.cli import main
 from catalan_lab.oeis import (
     BUILTIN_BINDINGS,
@@ -355,6 +356,55 @@ class TestDistribution:
         )
         assert code == 0
         assert out.split() == ["0", "1", "1", "ok"]
+
+    def test_semi_empty_word(self, capsys):
+        code, out, err = run_cli(capsys, "distribution", "--stat", "semi", "--n", "0")
+        assert (code, out.split(), err) == (0, ["0", "1"], "")
+
+    def test_counted_kinds_ignore_the_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setenv("CATALAN_LAB_MAX_N", "3")
+        for kind in ADJACENCY_INCREMENTS:
+            code, out, _ = run_cli(
+                capsys, "distribution", "--stat", kind.value, "--n", "8"
+            )
+            assert code == 0, kind
+            assert sum(int(line.split()[1]) for line in out.splitlines()) == 1430
+        code, _, _ = run_cli(
+            capsys, "--max-n", "3", "distribution", "--stat", "semi", "--n", "17"
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("kind", list(ADJACENCY_INCREMENTS))
+    def test_counted_kinds_stop_at_the_cap(self, capsys, kind):
+        code, out, err = run_cli(
+            capsys, "distribution", "--stat", kind.value, "--n", str(COUNT_MAX_N + 1)
+        )
+        assert (code, out) == (2, "")
+        assert f"cap {COUNT_MAX_N}" in err
+
+    @pytest.mark.parametrize("stat", ["area", "sym-valley", "ell-peak:2"])
+    def test_enumerated_kinds_keep_the_ceiling(self, capsys, stat):
+        code, out, err = run_cli(capsys, "distribution", "--stat", stat, "--n", "17")
+        assert (code, out) == (2, "")
+        assert "ceiling 16" in err
+
+    @pytest.mark.parametrize("kind", list(StatKind))
+    def test_negative_n_is_usage_error(self, capsys, kind):
+        code, out, err = run_cli(
+            capsys, "distribution", "--stat", kind.value, "--n", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "size must be nonnegative, got -1" in err
+
+    def test_runs_asc_narayana_row_at_200(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "distribution", "--stat", "runs-asc", "--n", "200"
+        )
+        rows = [line.split() for line in out.splitlines()]
+        assert code == 0
+        assert [int(row[0]) for row in rows] == list(range(1, 201))
+        assert all(row[1] == row[2] and row[3] == "ok" for row in rows)
+        assert int(rows[99][1]) == narayana(200, 100)
 
 
 class TestModuleEntryPoint:

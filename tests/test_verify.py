@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_lab import catalan
+from catalan_lab import ADJACENCY_INCREMENTS, catalan
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
@@ -48,6 +48,23 @@ def test_identities_count_every_check():
     # ten identities check once per n from their floor; binomial-product-sum
     # checks once per (n, k), 30 pairs for n <= 10
     assert verify_identities(10).cases_run == 92 + 30
+
+
+def test_distributions_count_every_check():
+    # five Narayana checks and seven histogram counts per n
+    report = verify_distributions(5)
+    assert report.cases_run == 5 * (5 + len(ADJACENCY_INCREMENTS))
+
+
+@pytest.mark.parametrize("kind", list(ADJACENCY_INCREMENTS))
+def test_broken_increment_fails_only_its_histogram_count(monkeypatch, kind):
+    first, (lt, eq, up) = ADJACENCY_INCREMENTS[kind]
+    monkeypatch.setitem(ADJACENCY_INCREMENTS, kind, (first, (lt, eq, up + 1)))
+    report = verify_distributions(5)
+    # every length from 2 on has a word with an ascent
+    assert [desc for desc, _, _ in report.failures] == [
+        f"{kind.value} histogram count n={n}" for n in range(2, 6)
+    ]
 
 
 def _pinned_descriptions(monkeypatch, suite_fn, n_max, data_file):

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from catalan_lab import (
+    ADJACENCY_INCREMENTS,
+    COUNT_MAX_N,
     BarStep,
     Path,
     StatId,
@@ -12,7 +14,10 @@ from catalan_lab import (
     bargraph_path,
     brute_total,
     catalan,
+    closed_total,
+    count_histogram,
     enumerate_catalan,
+    narayana,
     path_to_word,
     stat_value,
     sweep_totals,
@@ -168,9 +173,9 @@ class TestStatValue:
         assert stat_value(w, sid(StatKind.RUNS_WEAK_DESC)) == 2  # 1 | 221
         assert stat_value(Word(()), sid(StatKind.RUNS_DESC)) == 0
 
-    def test_semi_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            stat_value(Word(()), sid(StatKind.SEMI))
+    def test_semi_empty_word_is_zero(self):
+        # like the corners, and like the histogram count's n = 0 row
+        assert stat_value(Word(()), sid(StatKind.SEMI)) == 0
 
     def test_corners_empty_word(self):
         assert stat_value(Word(()), sid(StatKind.CORNER_HU)) == 0
@@ -263,8 +268,7 @@ class TestBruteTotal:
     def test_empty_length(self):
         assert brute_total(0, sid(StatKind.AREA)) == 0
         assert brute_total(0, sid(StatKind.RUNS_DESC)) == 0
-        with pytest.raises(ValueError):
-            brute_total(0, sid(StatKind.SEMI))
+        assert brute_total(0, sid(StatKind.SEMI)) == 0
 
     def test_ceiling(self):
         from catalan_lab import EnumerationLimitError
@@ -343,3 +347,63 @@ class TestSweepTotals:
                     }
                     expected = {ell: v for ell, v in sums.items() if v}
                     assert t.patterns[kind] == expected, (prefix, kind)
+
+
+def stat_histogram(n, kind):
+    hist = {}
+    for w in enumerate_catalan(n):
+        value = stat_value(w, sid(kind))
+        hist[value] = hist.get(value, 0) + 1
+    return hist
+
+
+class TestCountHistogram:
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_stat_value(self, n):
+        for kind in ADJACENCY_INCREMENTS:
+            assert count_histogram(n, kind) == stat_histogram(n, kind), kind
+
+    def test_totals_match_closed_forms(self):
+        for n in range(1, 61):
+            for kind in ADJACENCY_INCREMENTS:
+                hist = count_histogram(n, kind)
+                assert sum(hist.values()) == catalan(n)
+                total = sum(value * count for value, count in hist.items())
+                assert total == closed_total(n, sid(kind)), (n, kind)
+
+    @pytest.mark.parametrize("kind", [StatKind.RUNS_ASC, StatKind.RUNS_WEAK_DESC])
+    def test_narayana_row_at_100(self, kind):
+        row = {k: narayana(100, k) for k in range(1, 101)}
+        assert count_histogram(100, kind) == row
+
+    def test_sweep_total_reads_the_table(self):
+        # first·words + lt·descents + eq·levels + up·ascents is, for semi,
+        # the semi-perimeter (n + 1)·words + ascents
+        for n in range(1, 15):
+            t = sweep_totals(n)
+            assert t.total(sid(StatKind.SEMI)) == (n + 1) * t.words + t.ascents
+
+    def test_size_and_kind_are_checked(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_histogram(-1, StatKind.RUNS_ASC)
+        with pytest.raises(ValueError, match="cap"):
+            count_histogram(COUNT_MAX_N + 1, StatKind.RUNS_ASC)
+        for kind in set(StatKind) - set(ADJACENCY_INCREMENTS):
+            with pytest.raises(ValueError, match="no histogram count"):
+                count_histogram(3, kind)
+
+    @pytest.mark.parametrize("kind", list(ADJACENCY_INCREMENTS))
+    @pytest.mark.parametrize("which", range(3))
+    def test_broken_increment_fails_only_its_readers(self, monkeypatch, kind, which):
+        n = 5
+        oracle = {k: stat_histogram(n, k) for k in ADJACENCY_INCREMENTS}
+        first, increments = ADJACENCY_INCREMENTS[kind]
+        broken = tuple(inc + (i == which) for i, inc in enumerate(increments))
+        monkeypatch.setitem(ADJACENCY_INCREMENTS, kind, (first, broken))
+        totals = sweep_totals(n)
+        for other, hist in oracle.items():
+            assert stat_histogram(n, other) == hist  # the oracle reads no table
+            total = sum(value * count for value, count in hist.items())
+            reads_broken = other is kind
+            assert (count_histogram(n, other) != hist) == reads_broken, other
+            assert (totals.total(sid(other)) != total) == reads_broken, other
