@@ -42,13 +42,7 @@ from .formulas import (
     identity_check,
     narayana,
 )
-from .limits import (
-    COUNT_MAX_N,
-    DEFAULT_MAX_N,
-    ENV_VAR,
-    EnumerationLimitError,
-    enumeration_ceiling,
-)
+from .limits import DEFAULT_MAX_N, ENV_VAR, EnumerationLimitError, enumeration_ceiling
 from .paths import (
     D,
     U,
@@ -73,7 +67,6 @@ from .verify import (
     verify_transport,
 )
 from .words import (
-    ADJACENCY_INCREMENTS,
     BarStep,
     StatId,
     StatKind,

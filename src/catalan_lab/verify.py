@@ -546,7 +546,6 @@ def verify_distributions(n_max: int = 10) -> VerifyReport:
             [formulas.narayana(n, k) for k in range(1, n + 1)],
             [formulas.narayana(n, n + 1 - k) for k in range(1, n + 1)],
         )
-        # the histogram count against the stat_value histogram
         for s, hist in hists.items():
             rpt.check(f"{s} histogram count n={n}", hist, count_histogram(n, s.kind))
     rpt.elapsed = time.perf_counter() - start

@@ -7,14 +7,16 @@ import sys
 
 import pytest
 
-from catalan_lab import ADJACENCY_INCREMENTS, COUNT_MAX_N, StatKind, narayana
+from catalan_lab import StatKind, narayana
 from catalan_lab.cli import main
+from catalan_lab.limits import COUNT_MAX_N
 from catalan_lab.oeis import (
     BUILTIN_BINDINGS,
     first_divergence,
     format_bfile,
     parse_bfile,
 )
+from catalan_lab.words import ADJACENCY_INCREMENTS
 
 
 def run_cli(capsys, *argv):

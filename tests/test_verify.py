@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_lab import ADJACENCY_INCREMENTS, catalan
+from catalan_lab import catalan
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
@@ -14,6 +14,7 @@ from catalan_lab.verify import (
     verify_identities,
     verify_transport,
 )
+from catalan_lab.words import ADJACENCY_INCREMENTS
 
 
 class TestReport:

@@ -3,8 +3,6 @@ import itertools
 import pytest
 
 from catalan_lab import (
-    ADJACENCY_INCREMENTS,
-    COUNT_MAX_N,
     BarStep,
     Path,
     StatId,
@@ -23,6 +21,8 @@ from catalan_lab import (
     sweep_totals,
     word_to_path,
 )
+from catalan_lab.limits import COUNT_MAX_N
+from catalan_lab.words import ADJACENCY_INCREMENTS
 
 W = Word.from_string
 P = Path.from_string
