@@ -519,18 +519,17 @@ def last_passage_class(lam: Path) -> tuple[str, int | None]:
 def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
 
-    Shuffles n up and n + 1 down steps, finds the unique rotation of the
-    complemented sequence with all-positive partial sums, and drops its
-    forced leading up step. Every Dyck path is hit by exactly 2n + 1
-    arrangements, so the draw is uniform without rejection.
+    Shuffles n down and n + 1 up steps, finds the unique rotation with
+    all-positive partial sums, and drops its forced leading up step. Every
+    Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
+    without rejection.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     if rng is None:
         rng = random.Random()
-    arrangement = [U] * n + [D] * (n + 1)
+    arrangement = [D] * n + [U] * (n + 1)
     rng.shuffle(arrangement)
-    complement = [-s for s in arrangement]
-    r = raney_shift(complement)
-    rotated = complement[r - 1 :] + complement[: r - 1]
+    r = raney_shift(arrangement)
+    rotated = arrangement[r - 1 :] + arrangement[: r - 1]
     return Path(tuple(rotated[1:]))

@@ -65,7 +65,8 @@ def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
 
     prefixes = [w.letters for w in enumerate_catalan(_PARALLEL_DEPTH, max_n=max_n)]
     tasks = [(n, prefix, max_n) for prefix in prefixes]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # one worker per shard at most: the fork start method forks them all at once
+    with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
         shards = list(pool.map(_sweep_shard, tasks))
     return functools.reduce(lambda a, b: a + b, shards)
 
@@ -119,6 +120,8 @@ def cmd_enumerate(args) -> int:
 def cmd_totals(args) -> int:
     if args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
+    if args.parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {args.parallel}")
     stats = _parse_stats(args.stats)
     rows = []
     for n in range(1, args.n_max + 1):
@@ -265,11 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_totals)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        choices=["bijections", "identities", "distributions", "transport", "all"],
-        required=True,
-    )
+    p.add_argument("--suite", choices=[*SUITE_CAPS, "all"], required=True)
     p.add_argument(
         "--n-max",
         type=int,

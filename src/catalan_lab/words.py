@@ -12,7 +12,6 @@ letter, with no enumeration.
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 
 from .limits import COUNT_MAX_N, check_ceiling
@@ -371,44 +370,6 @@ class SweepTotals:
         raise ValueError(f"unknown statistic {s!r}")
 
 
-# Pattern kinds in the index order of the transition's completion tuples;
-# the sweep keys by index because StatKind hashes in Python code.
-_SWEPT_PATTERNS = (
-    StatKind.SYM_VALLEY,
-    StatKind.ELL_VALLEY,
-    StatKind.SYM_PEAK,
-    StatKind.ELL_PEAK,
-)
-
-# (c, ascent, descent, completed pattern indices, next x, next b, run extends)
-_Step = tuple[tuple[int, bool, bool, tuple[int, ...], int, int, bool], ...]
-
-
-@lru_cache(maxsize=None)
-def _transition(x: int, b: int) -> _Step:
-    """One step of the run automaton from state (x, b), for every next letter.
-
-    ``b`` is the letter of the current equal run (0 before the first letter)
-    and ``x`` the letter before that run (0 when absent); the run length is
-    carried by the caller. For each letter c that may follow, the step lists
-    whether c makes an ascent or a descent, which patterns c completes (their
-    middle run is the current one, so each counts at ell = run length), and
-    the next state.
-    """
-    step = []
-    for c in range(1, b + 2):
-        completes = (
-            x == c and b == c - 1,  # sym-valley
-            x > b and c == b + 1,  # ell-valley
-            x == c and b == c + 1,  # sym-peak
-            x >= 1 and b == x + 1 and c <= x,  # ell-peak
-        )
-        done = tuple(i for i, hit in enumerate(completes) if hit)
-        nx, nb = (x, b) if c == b else (b, c)
-        step.append((c, 0 < b < c, c < b, done, nx, nb, c == b))
-    return tuple(step)
-
-
 def sweep_totals(
     n: int,
     *,
@@ -417,14 +378,15 @@ def sweep_totals(
 ) -> SweepTotals:
     """Totals of all statistics over words of length n by a forward count.
 
-    One pass over depth keeps, for each run-automaton state (x, b, L), the
-    number of prefixes reaching it (the transfer-matrix method). Every
-    letter's contribution (its value, ascent, descent and completed patterns)
-    is charged once per word containing it: the prefixes reaching the state
-    it leaves times the words extending it. Every step reads the memoized
-    table ``_transition``. ``_scan_patterns`` deliberately does not read that
-    table: it is the independent definition-level oracle the sweep is tested
-    against.
+    One pass over depth keeps, for each run state (x, b), the number of
+    prefixes reaching it per run length L (the transfer-matrix method):
+    ``b`` is the letter of the current equal run (0 before the first letter)
+    and ``x`` the letter before it (0 when absent). Every letter's value,
+    ascent, descent and completed patterns are charged once per word
+    containing it: the prefixes reaching the state it leaves times the words
+    extending it. A pattern the next letter completes has the current run as
+    its middle, so it counts at ell = L. The predicates are written here a
+    second time on purpose: ``_scan_patterns`` is the independent oracle.
 
     A nonempty ``prefix`` restricts the pass to words extending it; shard
     totals over a full prefix level add up to the unrestricted totals.
@@ -445,32 +407,58 @@ def sweep_totals(
     # inside a forced prefix every node extends to the whole prefix's words
     held = ext[n - len(prefix)][prefix[-1]] if prefix else 0
     asc_t = des_t = area_t = 0
-    patterns: list[dict[int, int]] = [{} for _ in _SWEPT_PATTERNS]
-    states = {(0, 0, 0): 1}
+    patterns: dict[StatKind, dict[int, int]] = {
+        StatKind.SYM_VALLEY: {},
+        StatKind.ELL_VALLEY: {},
+        StatKind.SYM_PEAK: {},
+        StatKind.ELL_PEAK: {},
+    }
+    sym_valley, ell_valley, sym_peak, ell_peak = patterns.values()
+    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
     for depth in range(n):
         forced = depth < len(prefix)
         rest = ext[n - depth - 1]
-        reached: dict[tuple[int, int, int], int] = {}
-        for (x, b, L), count in states.items():
-            step = _transition(x, b)
-            if forced:
-                step = (step[prefix[depth] - 1],)
-            for c, up, down, done, nx, nb, extends in step:
-                words = count * (held if forced else rest[c])
-                area_t += c * words
-                if up:
-                    asc_t += words
-                elif down:
-                    des_t += words
-                for i in done:
-                    t = patterns[i]
-                    t[L] = t.get(L, 0) + words
-                key = (nx, nb, L + 1 if extends else 1)
-                reached[key] = reached.get(key, 0) + count
+        reached: dict[tuple[int, int], dict[int, int]] = {}
+        for (x, b), runs in states.items():
+            count = sum(runs.values())
+            area_w = asc_w = des_w = sv = ev = sp = ep = 0
+            for c in (prefix[depth],) if forced else range(1, b + 2):
+                words = held if forced else rest[c]
+                area_w += c * words
+                if 0 < b < c:
+                    asc_w += words
+                elif c < b:
+                    des_w += words
+                if x == c and b == c - 1:  # sym-valley
+                    sv += words
+                if x > b and c == b + 1:  # ell-valley
+                    ev += words
+                if x == c and b == c + 1:  # sym-peak
+                    sp += words
+                if x >= 1 and b == x + 1 and c <= x:  # ell-peak
+                    ep += words
+                if c == b:
+                    # the run extends: its length shifts by one
+                    reached.setdefault((x, b), {}).update(
+                        {L + 1: k for L, k in runs.items()}
+                    )
+                else:
+                    started = reached.setdefault((b, c), {})
+                    started[1] = started.get(1, 0) + count
+            area_t += area_w * count
+            asc_t += asc_w * count
+            des_t += des_w * count
+            # each pattern's words completed, summed over c, charged per L
+            for table, weight in (
+                (sym_valley, sv), (ell_valley, ev), (sym_peak, sp), (ell_peak, ep)
+            ):
+                if weight:
+                    for L, k in runs.items():
+                        table[L] = table.get(L, 0) + k * weight
         states = reached
 
-    tables = dict(zip(_SWEPT_PATTERNS, patterns))
-    return SweepTotals(n, sum(states.values()), asc_t, des_t, area_t, tables)
+    words = sum(sum(runs.values()) for runs in states.values())
+    return SweepTotals(n, words, asc_t, des_t, area_t, patterns)
 
 
 def brute_total(n: int, s: StatId, *, max_n: int | None = None) -> int:

@@ -137,6 +137,40 @@ class TestTotals:
         )
         assert (code_a, out_a) == (code_b, out_b)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_is_usage_error(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys, "totals", "--n-max", "6", "--stats", "area", "--parallel", workers
+        )
+        assert (code, out) == (2, "") and "parallel" in err
+
+    def test_parallel_workers_capped_at_shard_count(self, capsys, monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        argv = ["totals", "--n-max", "6", "--stats", "all", "--format", "csv"]
+        serial = run_cli(capsys, *argv)
+        sharded = run_cli(capsys, *argv, "--parallel", "100000")
+        # only n = 6 is sharded, over the C_4 = 14 prefixes of length 4
+        assert asked == [14]
+        assert sharded == serial
+
     def test_deterministic_output(self, capsys):
         _, out_a, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")
         _, out_b, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")

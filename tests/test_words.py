@@ -22,7 +22,7 @@ from catalan_lab import (
     word_to_path,
 )
 from catalan_lab.limits import COUNT_MAX_N
-from catalan_lab.words import ADJACENCY_INCREMENTS
+from catalan_lab.words import ADJACENCY_INCREMENTS, PATTERN_KINDS
 
 W = Word.from_string
 P = Path.from_string
@@ -347,6 +347,17 @@ class TestSweepTotals:
                     }
                     expected = {ell: v for ell, v in sums.items() if v}
                     assert t.patterns[kind] == expected, (prefix, kind)
+
+    @pytest.mark.parametrize("n", range(15, 31))
+    def test_matches_closed_forms_above_enumeration(self, n):
+        t = sweep_totals(n, max_n=30)
+        assert t.words == catalan(n)
+        for kind in StatKind:
+            assert t.total(sid(kind)) == closed_total(n, sid(kind)), kind
+        for kind in PATTERN_KINDS:
+            for ell in range(1, n + 1):
+                s = sid(kind, ell)
+                assert t.total(s) == closed_total(n, s), (kind, ell)
 
 
 def stat_histogram(n, kind):
