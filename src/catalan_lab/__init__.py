@@ -37,6 +37,7 @@ from .formulas import (
     binomial,
     catalan,
     closed_total,
+    closed_totals,
     dyck_count_by_ddu,
     dyck_count_by_ddu_udu,
     identity_check,

@@ -10,7 +10,7 @@ there is no realignment by value searching.
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .formulas import closed_total
+from .formulas import closed_total, closed_totals
 from .words import StatId, StatKind
 
 
@@ -25,9 +25,9 @@ class OeisBinding:
         return closed_total(self.first_n + (index - self.offset), self.stat)
 
     def terms(self, count: int) -> list[tuple[int, int]]:
-        if count < 1:
-            raise ValueError(f"term count must be positive, got {count}")
-        return [(i, self.value(i)) for i in range(self.offset, self.offset + count)]
+        """The first ``count`` (index, value) pairs, stepped from term to term."""
+        values = closed_totals(self.stat, self.first_n, count)
+        return list(zip(range(self.offset, self.offset + count), values))
 
 
 BUILTIN_BINDINGS = {

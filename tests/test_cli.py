@@ -171,6 +171,34 @@ class TestTotals:
         assert asked == [14]
         assert sharded == serial
 
+    def test_one_pool_for_every_sharded_n(self, capsys, monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        argv = ["totals", "--n-max", "8", "--stats", "all", "--format", "csv"]
+        serial = run_cli(capsys, *argv)
+        assert pools == []
+        sharded = run_cli(capsys, *argv, "--parallel", "2")
+        # n = 6, 7 and 8 are sharded, all in one pool of two workers
+        assert pools == [2]
+        assert sharded == serial
+
     def test_deterministic_output(self, capsys):
         _, out_a, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")
         _, out_b, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")
@@ -321,6 +349,12 @@ class TestOeis:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_custom_binding_with_negative_offset(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oeis", "--stat", "area", "--offset", "-3", "--terms", "2"
+        )
+        assert (code, out, err) == (0, "-3 1\n-2 5\n", "")
+
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "A999999", "--terms", "3")
         assert code == 2
@@ -359,6 +393,16 @@ class TestBfileHelpers:
             index, value = binding.terms(1)[0]
             assert index == binding.offset
             assert value > 0
+
+    @pytest.mark.parametrize("seq_id", sorted(BUILTIN_BINDINGS))
+    def test_stepped_terms_match_single_values(self, seq_id):
+        binding = BUILTIN_BINDINGS[seq_id]
+        indices = range(binding.offset, binding.offset + 700)
+        assert binding.terms(700) == [(i, binding.value(i)) for i in indices]
+
+    def test_terms_rejects_count_below_one(self):
+        with pytest.raises(ValueError, match="term count must be positive"):
+            BUILTIN_BINDINGS["A000346"].terms(0)
 
 
 class TestDistribution:

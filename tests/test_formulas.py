@@ -13,11 +13,13 @@ from catalan_lab import (
     brute_total,
     catalan,
     closed_total,
+    closed_totals,
     dyck_count_by_ddu,
     dyck_count_by_ddu_udu,
     identity_check,
     narayana,
 )
+from catalan_lab import formulas
 from catalan_lab.formulas import IDENTITY_FLOOR, PASCAL_ROW_LIMIT, _diagonal_sum
 
 
@@ -200,6 +202,43 @@ class TestDiagonalSum:
             assert closed_total(n, StatId(kind)) == DEFINITIONAL_TOTALS[kind](n), n
 
 
+PATTERN_KINDS = (
+    StatKind.SYM_VALLEY,
+    StatKind.ELL_VALLEY,
+    StatKind.SYM_PEAK,
+    StatKind.ELL_PEAK,
+)
+EVERY_STAT = [StatId(kind) for kind in StatKind] + [
+    StatId(kind, ell) for kind in PATTERN_KINDS for ell in (1, 2, 3)
+]
+
+
+class TestClosedTotals:
+    """The stepped sequence form against closed_total, one term at a time."""
+
+    @pytest.mark.parametrize("s", EVERY_STAT, ids=str)
+    def test_matches_closed_total_to_n_700(self, s):
+        last = 700
+        expected = [closed_total(n, s) for n in range(1, last + 1)]
+        # every run steps from inside the Pascal table (row 2n+2 <= 640 up to
+        # n = 319) to far past it
+        for first in (1, 2, 3, 7):
+            got = closed_totals(s, first, last - first + 1)
+            assert got == expected[first - 1:], (s, first)
+
+    @pytest.mark.parametrize("first, count", [(0, 3), (-2, 3), (1, 0), (5, -1)])
+    def test_rejects_first_or_count_below_one(self, first, count):
+        with pytest.raises(ValueError):
+            closed_totals(StatId(StatKind.AREA), first, count)
+
+    def test_inexact_step_raises(self, monkeypatch):
+        # a first term off by one cannot be stepped by an exact division
+        real = formulas.binomial
+        monkeypatch.setattr(formulas, "binomial", lambda n, k: real(n, k) + 1)
+        with pytest.raises(ArithmeticError):
+            closed_totals(StatId(StatKind.RUNS_WEAK_ASC), 5, 3)
+
+
 class TestStrataCounts:
     def test_anchor_values(self):
         assert dyck_count_by_ddu(4, 0) == 8
@@ -282,6 +321,15 @@ class TestIdentities:
                 )
                 res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
                 assert res.lhs == literal, (n, k)
+
+    @pytest.mark.parametrize("n", [PASCAL_ROW_LIMIT + 2, 1000])
+    def test_binomial_product_lhs_past_the_table(self, n):
+        for k in (0, 1, n // 4, (n - 1) // 2):
+            literal = sum(
+                math.comb(m, k) * math.comb(m - k, k) * math.comb(n - 1, n - 1 - m)
+                for m in range(2 * k, n)
+            )
+            assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k).lhs == literal
 
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_floor_enforced(self, ident):
