@@ -58,26 +58,17 @@ def _sweep_shard(task: tuple[int, tuple[int, ...], int | None]) -> SweepTotals:
     return sweep_totals(n, prefix=prefix, max_n=max_n)
 
 
-def _totals_for(n_max: int, max_n: int | None, parallel: int) -> list[SweepTotals]:
-    """sweep_totals(n) for n = 1..n_max. With ``parallel`` above 1, each n past
-    _PARALLEL_DEPTH + 1 is split by its Catalan prefixes of length
-    _PARALLEL_DEPTH, and every such n shares one worker pool."""
-    split_from = _PARALLEL_DEPTH + 2 if parallel > 1 else n_max + 1
-    serial = range(1, min(split_from, n_max + 1))
-    totals = [sweep_totals(n, max_n=max_n) for n in serial]
-    sharded = range(split_from, n_max + 1)
-    if not sharded:
-        return totals
+def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
+    if parallel <= 1 or n <= _PARALLEL_DEPTH + 1:
+        return sweep_totals(n, max_n=max_n)
     from concurrent.futures import ProcessPoolExecutor
 
     prefixes = [w.letters for w in enumerate_catalan(_PARALLEL_DEPTH, max_n=max_n)]
-    # one pool for every sharded n, with one worker per shard at most: the
-    # fork start method forks them all at the first submit
-    with ProcessPoolExecutor(max_workers=min(parallel, len(prefixes))) as pool:
-        for n in sharded:
-            shards = pool.map(_sweep_shard, [(n, p, max_n) for p in prefixes])
-            totals.append(functools.reduce(lambda a, b: a + b, shards))
-    return totals
+    tasks = [(n, prefix, max_n) for prefix in prefixes]
+    # one worker per shard at most: the fork start method forks them all at once
+    with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
+        shards = list(pool.map(_sweep_shard, tasks))
+    return functools.reduce(lambda a, b: a + b, shards)
 
 
 def _write_rows(
@@ -133,7 +124,8 @@ def cmd_totals(args) -> int:
         raise ValueError(f"parallel must be at least 1, got {args.parallel}")
     stats = _parse_stats(args.stats)
     rows = []
-    for n, totals in enumerate(_totals_for(args.n_max, args.max_n, args.parallel), 1):
+    for n in range(1, args.n_max + 1):
+        totals = _totals_for(n, args.max_n, args.parallel)
         for s in stats:
             brute = totals.total(s)
             closed = closed_total(n, s)

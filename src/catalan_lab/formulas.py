@@ -165,7 +165,7 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
     than fresh binomials.
     """
     if first < 1:
-        raise ValueError(f"closed_totals is defined for n >= 1, got first={first}")
+        raise ValueError(f"first n must be at least 1, got {first}")
     if count < 1:
         raise ValueError(f"term count must be positive, got {count}")
     kind, ell = s.kind, s.ell
@@ -351,29 +351,18 @@ def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityR
                 f"binomial-product-sum needs 0 <= k <= (n-1)//2, got k={k}"
             )
         # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
-        # the Pascal rows or, past them, with each factor stepped along its
-        # own row or column. Stepping the terms by their own ratio instead
-        # would compute the lhs with the rhs's algebra and check nothing.
+        # the Pascal rows. Stepping the terms by their own ratio instead would
+        # compute the lhs with the rhs's algebra and check nothing.
         top = n - 1
         if top <= PASCAL_ROW_LIMIT:
             _pascal_row(top)  # every row up to top is built
             cols = [_rows[m][k] * _rows[m - k][k] for m in range(top, 2 * k - 1, -1)]
             lhs = sum(map(operator.mul, cols, _rows[top]))
         else:
-            # C(top, j) = C(top, j-1) (top-j+1) / j along the row up to j =
-            # top-2k, and C(m, k) C(m-k, k) = m! / (k! k! (m-2k)!) up the
-            # column from m = 2k
-            row = accumulate(
-                range(1, top - 2 * k + 1),
-                lambda c, j: _exact_div(c * (top - j + 1), j),
-                initial=1,
+            lhs = sum(
+                binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
+                for m in range(top, 2 * k - 1, -1)
             )
-            cols = accumulate(
-                range(2 * k + 1, top + 1),
-                lambda c, m: _exact_div(c * m, m - 2 * k),
-                initial=binomial(2 * k, k),
-            )
-            lhs = sum(map(operator.mul, reversed(list(cols)), row))
         rhs = binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1)
         return IdentityResult(lhs, rhs)
     if ident is IdentityId.SEMI_PERIMETER_SPLIT:

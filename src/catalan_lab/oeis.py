@@ -10,7 +10,9 @@ there is no realignment by value searching.
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .formulas import closed_total, closed_totals
+# closed_total stays importable from here: benchmark/tracing.py wraps
+# oeis.closed_total by name
+from .formulas import closed_total, closed_totals  # noqa: F401
 from .words import StatId, StatKind
 
 
@@ -20,9 +22,6 @@ class OeisBinding:
     stat: StatId
     offset: int = 1
     first_n: int = 1
-
-    def value(self, index: int) -> int:
-        return closed_total(self.first_n + (index - self.offset), self.stat)
 
     def terms(self, count: int) -> list[tuple[int, int]]:
         """The first ``count`` (index, value) pairs, stepped from term to term."""

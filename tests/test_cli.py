@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from catalan_lab import StatKind, narayana
+from catalan_lab import StatKind, closed_total, narayana
 from catalan_lab.cli import main
 from catalan_lab.limits import COUNT_MAX_N
 from catalan_lab.oeis import (
@@ -171,34 +171,6 @@ class TestTotals:
         assert asked == [14]
         assert sharded == serial
 
-    def test_one_pool_for_every_sharded_n(self, capsys, monkeypatch):
-        # a recording stand-in for the pool: no process is started
-        import concurrent.futures
-
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        argv = ["totals", "--n-max", "8", "--stats", "all", "--format", "csv"]
-        serial = run_cli(capsys, *argv)
-        assert pools == []
-        sharded = run_cli(capsys, *argv, "--parallel", "2")
-        # n = 6, 7 and 8 are sharded, all in one pool of two workers
-        assert pools == [2]
-        assert sharded == serial
-
     def test_deterministic_output(self, capsys):
         _, out_a, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")
         _, out_b, _ = run_cli(capsys, "totals", "--n-max", "4", "--stats", "all")
@@ -355,6 +327,12 @@ class TestOeis:
         )
         assert (code, out, err) == (0, "-3 1\n-2 5\n", "")
 
+    def test_first_n_below_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oeis", "--stat", "area", "--first-n", "0", "--terms", "3"
+        )
+        assert (code, out, err) == (2, "", "error: first n must be at least 1, got 0\n")
+
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "A999999", "--terms", "3")
         assert code == 2
@@ -398,7 +376,11 @@ class TestBfileHelpers:
     def test_stepped_terms_match_single_values(self, seq_id):
         binding = BUILTIN_BINDINGS[seq_id]
         indices = range(binding.offset, binding.offset + 700)
-        assert binding.terms(700) == [(i, binding.value(i)) for i in indices]
+        expected = [
+            (i, closed_total(binding.first_n + i - binding.offset, binding.stat))
+            for i in indices
+        ]
+        assert binding.terms(700) == expected
 
     def test_terms_rejects_count_below_one(self):
         with pytest.raises(ValueError, match="term count must be positive"):
