@@ -21,10 +21,14 @@ class EnumerationLimitError(Exception):
     """Raised when an enumeration request exceeds the configured ceiling."""
 
     def __init__(self, n: int, limit: int):
+        # args are (n, limit), so a worker process can pickle the error back
+        super().__init__(n, limit)
         self.n = n
         self.limit = limit
-        super().__init__(
-            f"n={n} exceeds the enumeration ceiling {limit} "
+
+    def __str__(self) -> str:
+        return (
+            f"n={self.n} exceeds the enumeration ceiling {self.limit} "
             f"(override with {ENV_VAR} or an explicit max_n)"
         )
 

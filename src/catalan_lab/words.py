@@ -4,15 +4,16 @@ A Catalan word starts at 1 and never rises by more than one letter at a
 time. The module enumerates words, converts between words and Dyck paths
 (i-th up step ends at height of the i-th letter), evaluates every tracked
 statistic on a single word, and computes totals over all words of a given
-length by counting the prefixes that reach each run-automaton state. The
+length as a sum over marked positions of prefixes times completions. The
 histograms of the adjacency statistics come from a count over the last
 letter, with no enumeration.
 """
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import mul
 
 from .limits import COUNT_MAX_N, check_ceiling
 from .paths import D, U, Path, _require_dyck
@@ -90,6 +91,19 @@ ADJACENCY_INCREMENTS: dict[StatKind, tuple[int, tuple[int, int, int]]] = {
 }
 
 
+# The pattern statistics as run changes: a letter x, a maximal run of the
+# letter b (the pattern's middle, ell letters long), then a letter c. Each
+# entry says which changes (x, b, c) complete the pattern. The count side
+# (sweep_totals) reads this table; _scan_patterns does not, so it stays the
+# definition-level oracle.
+PATTERN_CHANGES: dict[StatKind, Callable[[int, int, int], bool]] = {
+    StatKind.SYM_VALLEY: lambda x, b, c: b == x - 1 and c == x,
+    StatKind.ELL_VALLEY: lambda x, b, c: b == c - 1 and 2 <= c <= x,
+    StatKind.SYM_PEAK: lambda x, b, c: b == x + 1 and c == x,
+    StatKind.ELL_PEAK: lambda x, b, c: b == x + 1 and c <= x,
+}
+
+
 @dataclass(frozen=True)
 class StatId:
     """A statistic selector: a kind plus, for pattern kinds, an optional ell.
@@ -130,23 +144,10 @@ class BarStep(Enum):
     ACROSS = "across"
 
 
-def enumerate_catalan(
-    n: int,
-    *,
-    max_n: int | None = None,
-    prefix: Sequence[int] = (),
-) -> Iterator[Word]:
-    """Yield all Catalan words of length n in numeric lexicographic order.
-
-    ``prefix`` restricts the stream to words extending the given letters.
-    """
+def enumerate_catalan(n: int, *, max_n: int | None = None) -> Iterator[Word]:
+    """Yield all Catalan words of length n in numeric lexicographic order."""
     check_ceiling(n, max_n)
-    prefix = tuple(prefix)
-    Word(prefix)
-    if len(prefix) > n:
-        raise ValueError("prefix longer than the requested words")
-
-    seq = list(prefix)
+    seq: list[int] = []
 
     def rec(last: int) -> Iterator[Word]:
         if len(seq) == n:
@@ -157,7 +158,7 @@ def enumerate_catalan(
             yield from rec(c)
             seq.pop()
 
-    return rec(seq[-1] if seq else 0)
+    return rec(0)
 
 
 def word_to_path(w: Word) -> Path:
@@ -370,26 +371,29 @@ class SweepTotals:
         raise ValueError(f"unknown statistic {s!r}")
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
 def sweep_totals(
     n: int,
     *,
     prefix: Sequence[int] = (),
     max_n: int | None = None,
 ) -> SweepTotals:
-    """Totals of all statistics over words of length n by a forward count.
+    """Totals of all statistics over words of length n, as prefixes × completions.
 
-    One pass over depth keeps, for each run state (x, b), the number of
-    prefixes reaching it per run length L (the transfer-matrix method):
-    ``b`` is the letter of the current equal run (0 before the first letter)
-    and ``x`` the letter before it (0 when absent). Every letter's value,
-    ascent, descent and completed patterns are charged once per word
-    containing it: the prefixes reaching the state it leaves times the words
-    extending it. A pattern the next letter completes has the current run as
-    its middle, so it counts at ell = L. The predicates are written here a
-    second time on purpose: ``_scan_patterns`` is the independent oracle.
-
-    A nonempty ``prefix`` restricts the pass to words extending it; shard
-    totals over a full prefix level add up to the unrestricted totals.
+    A marked letter or pattern splits a word in two (Flajolet & Sedgewick,
+    ch. III), so each total sums, over positions, the prefixes before the
+    mark times the completions after it. ``before[i][x]`` counts prefixes of
+    length i ending in x (the empty one ends in 0); ``after[i][c]`` counts
+    ways to put c at position i and finish (``after[n]``: nothing left).
+    Each row is one running sum of its neighbour, since c follows any
+    x >= c - 1. A pattern is x, a run of b of length ell, then a c that
+    ``PATTERN_CHANGES`` marks; each ell is the dot product of the marked
+    ends at a start j with ``after[j + ell]``. A ``prefix`` is a mask giving
+    every other letter 0 ways at its positions, so shard totals over a full
+    prefix level add up to the unrestricted totals.
     """
     check_ceiling(n, max_n)
     if n < 1:
@@ -399,70 +403,57 @@ def sweep_totals(
     if len(prefix) > n:
         raise ValueError("prefix longer than the requested words")
 
-    # ext[r][c]: ways to append r letters after letter c (0: the empty word).
-    # The next letter is any of 1..c+1, so each row sums the one before it.
-    ext = [[1] * (n + 2)]
-    for _ in range(n):
-        ext.append(list(accumulate(ext[-1][1:])))
-    # inside a forced prefix every node extends to the whole prefix's words
-    held = ext[n - len(prefix)][prefix[-1]] if prefix else 0
-    asc_t = des_t = area_t = 0
-    patterns: dict[StatKind, dict[int, int]] = {
-        StatKind.SYM_VALLEY: {},
-        StatKind.ELL_VALLEY: {},
-        StatKind.SYM_PEAK: {},
-        StatKind.ELL_PEAK: {},
-    }
-    sym_valley, ell_valley, sym_peak, ell_peak = patterns.values()
-    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
-    for depth in range(n):
-        forced = depth < len(prefix)
-        rest = ext[n - depth - 1]
-        reached: dict[tuple[int, int], dict[int, int]] = {}
-        for (x, b), runs in states.items():
-            count = sum(runs.values())
-            area_w = asc_w = des_w = sv = ev = sp = ep = 0
-            for c in (prefix[depth],) if forced else range(1, b + 2):
-                words = held if forced else rest[c]
-                area_w += c * words
-                if 0 < b < c:
-                    asc_w += words
-                elif c < b:
-                    des_w += words
-                if x == c and b == c - 1:  # sym-valley
-                    sv += words
-                if x > b and c == b + 1:  # ell-valley
-                    ev += words
-                if x == c and b == c + 1:  # sym-peak
-                    sp += words
-                if x >= 1 and b == x + 1 and c <= x:  # ell-peak
-                    ep += words
-                if c == b:
-                    # the run extends: its length shifts by one
-                    reached.setdefault((x, b), {}).update(
-                        {L + 1: k for L, k in runs.items()}
-                    )
-                else:
-                    started = reached.setdefault((b, c), {})
-                    started[1] = started.get(1, 0) + count
-            area_t += area_w * count
-            asc_t += asc_w * count
-            des_t += des_w * count
-            # each pattern's words completed, summed over c, charged per L
-            for table, weight in (
-                (sym_valley, sv), (ell_valley, ev), (sym_peak, sp), (ell_peak, ep)
-            ):
-                if weight:
-                    for L, k in runs.items():
-                        table[L] = table.get(L, 0) + k * weight
-        states = reached
+    # mask[i][c]: 1 when position i may hold the letter c (letters 0..n + 1)
+    mask = [[int(c == p) for c in range(n + 2)] for p in prefix]
+    mask += [[0] + [1] * (n + 1)] * (n - len(prefix))
+    empty = [1] + [0] * (n + 1)
+    before = [empty]
+    for row in mask:
+        above = list(accumulate(reversed(before[-1])))[::-1]
+        before.append([0] + list(map(mul, row[1:], above)))
+    after = [empty]
+    for row in reversed(mask):
+        upto = list(accumulate(after[0]))
+        after.insert(0, list(map(mul, row, upto[1:])) + [0])
 
-    words = sum(sum(runs.values()) for runs in states.values())
-    return SweepTotals(n, words, asc_t, des_t, area_t, patterns)
+    # x at position i - 1 and c <= x + 1 at i lie in before[i][x] * after[i][c] words
+    area = sum(
+        _dot(before[i], list(accumulate(c * a for c, a in enumerate(after[i])))[1:])
+        for i in range(n)
+    )
+    ascents = sum(_dot(before[i], after[i][1:]) for i in range(1, n))
+    descents = sum(
+        _dot(before[i], accumulate(after[i], initial=0)) for i in range(1, n)
+    )
+
+    # the changes of a maximal run, by x: b may follow x, and c may follow b
+    changes = [
+        (x, b, c)
+        for x in range(1, n - 1)
+        for b in range(1, x + 2)
+        for c in range(1, b + 2)
+        if b != x and c != b
+    ]
+    patterns: dict[StatKind, dict[int, int]] = {}
+    for kind, completes in PATTERN_CHANGES.items():
+        marked = [change for change in changes if completes(*change)]
+        table = patterns[kind] = {}
+        for j in range(1, n - 1):
+            ends = [0] * (n + 2)
+            for x, b, c in marked:
+                if x > j:
+                    break  # a prefix of length j ends in a letter up to j
+                ends[c] += before[j][x] * mask[j][b]
+            for ell in range(1, n - j):
+                if len(set(prefix[j:j + ell])) > 1:
+                    break  # the prefix ends the run before it is ell long
+                if total := _dot(ends, after[j + ell]):
+                    table[ell] = table.get(ell, 0) + total
+    return SweepTotals(n, sum(before[n]), ascents, descents, area, patterns)
 
 
 def brute_total(n: int, s: StatId, *, max_n: int | None = None) -> int:
-    """Total of statistic ``s`` over all words of length n, by the state count.
+    """Total of statistic ``s`` over all words of length n, by ``sweep_totals``.
 
     Values agree with summing stat_value over enumerate_catalan(n); each call
     runs ``sweep_totals`` afresh, so no caller shares its result.

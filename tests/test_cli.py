@@ -137,6 +137,17 @@ class TestTotals:
         )
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_parallel_ceiling_is_usage_error(self, capsys):
+        # the shards of n = 6 raise the ceiling error in the workers
+        code, out, err = run_cli(
+            capsys, "--max-n", "5", "totals", "--n-max", "8", "--parallel", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n=6 exceeds the enumeration ceiling 5 "
+            "(override with CATALAN_LAB_MAX_N or an explicit max_n)\n"
+        )
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_below_one_is_usage_error(self, capsys, workers):
         code, out, err = run_cli(

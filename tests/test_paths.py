@@ -135,6 +135,17 @@ class TestEnumerateDyck:
         with pytest.raises(EnumerationLimitError, match="3"):
             next(enumerate_dyck(4, max_n=3))
 
+    def test_ceiling_error_survives_pickling(self):
+        import pickle
+
+        with pytest.raises(EnumerationLimitError) as raised:
+            next(enumerate_dyck(4, max_n=3))
+        copy = pickle.loads(pickle.dumps(raised.value))
+        assert type(copy) is EnumerationLimitError
+        assert (copy.n, copy.limit) == (4, 3)
+        assert str(copy) == str(raised.value)
+        assert "n=4 exceeds the enumeration ceiling 3" in str(copy)
+
     def test_env_ceiling(self, monkeypatch):
         monkeypatch.setenv("CATALAN_LAB_MAX_N", "2")
         with pytest.raises(EnumerationLimitError):

@@ -22,7 +22,7 @@ from catalan_lab import (
     word_to_path,
 )
 from catalan_lab.limits import COUNT_MAX_N
-from catalan_lab.words import ADJACENCY_INCREMENTS, PATTERN_KINDS
+from catalan_lab.words import ADJACENCY_INCREMENTS, PATTERN_CHANGES, PATTERN_KINDS
 
 W = Word.from_string
 P = Path.from_string
@@ -85,13 +85,6 @@ class TestEnumerateCatalan:
         for n in range(7):
             letters = [w.letters for w in enumerate_catalan(n)]
             assert letters == sorted(letters)
-
-    def test_prefix_sharding(self):
-        whole = sorted(w.letters for w in enumerate_catalan(5))
-        shards = []
-        for w2 in enumerate_catalan(2):
-            shards.extend(v.letters for v in enumerate_catalan(5, prefix=w2.letters))
-        assert sorted(shards) == whole
 
 
 class TestWordPathConversion:
@@ -334,7 +327,11 @@ class TestSweepTotals:
         rows = {w: word_row(w) for w in enumerate_catalan(n)}
         for length in range(min(n, 4) + 1):
             for prefix in enumerate_catalan(length):
-                shard = [rows[w] for w in enumerate_catalan(n, prefix=prefix.letters)]
+                shard = [
+                    row
+                    for w, row in rows.items()
+                    if w.letters[:length] == prefix.letters
+                ]
                 t = sweep_totals(n, prefix=prefix.letters)
                 assert t.words == len(shard)
                 assert t.ascents == sum(row[0] for row in shard)
@@ -348,9 +345,9 @@ class TestSweepTotals:
                     expected = {ell: v for ell, v in sums.items() if v}
                     assert t.patterns[kind] == expected, (prefix, kind)
 
-    @pytest.mark.parametrize("n", range(15, 31))
+    @pytest.mark.parametrize("n", range(15, 61))
     def test_matches_closed_forms_above_enumeration(self, n):
-        t = sweep_totals(n, max_n=30)
+        t = sweep_totals(n, max_n=60)
         assert t.words == catalan(n)
         for kind in StatKind:
             assert t.total(sid(kind)) == closed_total(n, sid(kind)), kind
@@ -358,6 +355,28 @@ class TestSweepTotals:
             for ell in range(1, n + 1):
                 s = sid(kind, ell)
                 assert t.total(s) == closed_total(n, s), (kind, ell)
+
+    @pytest.mark.parametrize("kind", list(PATTERN_CHANGES))
+    @pytest.mark.parametrize("change", [(1, 2, 1), (2, 1, 2), (2, 3, 1)])
+    def test_broken_change_fails_only_its_readers(self, monkeypatch, kind, change):
+        # flip whether one run change (x, b, c) completes ``kind``
+        n = 6
+        stats = [sid(k) for k in StatKind]
+        stats += [sid(k, ell) for k in PATTERN_KINDS for ell in range(1, n)]
+        oracle = {s: naive_total(n, s) for s in stats}
+        completes = PATTERN_CHANGES[kind]
+        monkeypatch.setitem(
+            PATTERN_CHANGES, kind, lambda *xbc: completes(*xbc) != (xbc == change)
+        )
+        whole = sweep_totals(n)
+        # the shards reach the table through the prefix mask as well
+        shards = [sweep_totals(n, prefix=p.letters) for p in enumerate_catalan(3)]
+        merged = sum(shards[1:], shards[0])
+        for s, total in oracle.items():
+            assert naive_total(n, s) == total  # the oracle reads no table
+            assert merged.total(s) == whole.total(s), s
+        changed = {s.kind for s in stats if whole.total(s) != oracle[s]}
+        assert changed == {kind}
 
 
 def stat_histogram(n, kind):
