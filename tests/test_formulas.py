@@ -39,17 +39,44 @@ def comb0(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-# The all-ell pattern totals as plain sums of binomials, term by term.
+def per_ell(kind, form):
+    """The totals of ``kind`` at ell = 1, 2, 3, from ``form`` at m = n - ell."""
+    return {StatId(kind, l): lambda n, l=l: form(n - l) for l in (1, 2, 3)}
+
+
+# Every total as plain binomials, the all-ell pattern totals summed term by
+# term: the one check of each closed form past n = 60 that reads nothing
+# from formulas.
 DEFINITIONAL_TOTALS = {
-    StatKind.SYM_VALLEY: lambda n: (3 * n - 2) * (comb0(2 * n - 2, n - 1) // n)
+    StatId(StatKind.SYM_VALLEY): lambda n: (3 * n - 2)
+    * (comb0(2 * n - 2, n - 1) // n)
     - sum(comb0(2 * k, k) for k in range(1, n + 1)) // 2,
-    StatKind.ELL_VALLEY: lambda n: sum(
+    StatId(StatKind.ELL_VALLEY): lambda n: sum(
         comb0(2 * n - 2 * l - 1, n - l - 3) for l in range(1, n - 2)
     ),
-    StatKind.SYM_PEAK: lambda n: sum(comb0(2 * k + 2, k) for k in range(n - 2)),
-    StatKind.ELL_PEAK: lambda n: sum(
+    StatId(StatKind.SYM_PEAK): lambda n: sum(
+        comb0(2 * k + 2, k) for k in range(n - 2)
+    ),
+    StatId(StatKind.ELL_PEAK): lambda n: sum(
         comb0(2 * n - 2 * l - 1, n - l - 2) for l in range(1, n - 1)
     ),
+    StatId(StatKind.RUNS_DESC): lambda n: comb0(2 * n, n) - comb0(2 * n - 2, n - 1),
+    StatId(StatKind.RUNS_WEAK_ASC): lambda n: comb0(2 * n - 2, n - 1),
+    StatId(StatKind.RUNS_ASC): lambda n: comb0(2 * n - 1, n),
+    StatId(StatKind.RUNS_WEAK_DESC): lambda n: comb0(2 * n - 1, n),
+    StatId(StatKind.CORNER_HU): lambda n: comb0(2 * n - 1, n - 2),
+    StatId(StatKind.CORNER_DH): lambda n: comb0(2 * n - 2, n - 3),
+    StatId(StatKind.SEMI): lambda n: (comb0(2 * n + 2, n + 1) - comb0(2 * n, n)) // 2,
+    StatId(StatKind.AREA): lambda n: (4**n - comb0(2 * n, n)) // 2,
+    # marked up steps ending at height >= 2 on paths of semilength m - 1:
+    # (m-1) Catalan(m-1) marks, less Catalan(m) - Catalan(m-1) at height one
+    **per_ell(
+        StatKind.SYM_VALLEY,
+        lambda m: comb0(2 * m - 2, m - 1) - comb0(2 * m, m) // (m + 1) if m > 0 else 0,
+    ),
+    **per_ell(StatKind.ELL_VALLEY, lambda m: comb0(2 * m - 1, m - 3)),
+    **per_ell(StatKind.SYM_PEAK, lambda m: comb0(2 * m - 2, m - 2)),
+    **per_ell(StatKind.ELL_PEAK, lambda m: comb0(2 * m - 1, m - 2)),
 }
 
 
@@ -189,8 +216,12 @@ class TestDiagonalSum:
         assert _diagonal_sum(0, 0, 5, 4) == 0
         assert _diagonal_sum(2, 0, 0, -1) == 0
 
-    @pytest.mark.parametrize("kind", list(DEFINITIONAL_TOTALS))
-    def test_all_ell_totals_across_row_limit(self, kind):
+    @pytest.mark.parametrize(
+        "s",
+        list(DEFINITIONAL_TOTALS),
+        ids=lambda s: str(s.kind) if s.ell is None else f"{s.kind}:{s.ell}",
+    )
+    def test_all_ell_totals_across_row_limit(self, s):
         sizes = list(range(1, 41)) + [
             PASCAL_ROW_LIMIT - 1,
             PASCAL_ROW_LIMIT,
@@ -199,7 +230,7 @@ class TestDiagonalSum:
             1000,
         ]
         for n in sizes:
-            assert closed_total(n, StatId(kind)) == DEFINITIONAL_TOTALS[kind](n), n
+            assert closed_total(n, s) == DEFINITIONAL_TOTALS[s](n), n
 
 
 PATTERN_KINDS = (
