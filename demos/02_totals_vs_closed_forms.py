@@ -1,8 +1,9 @@
-"""Brute-force statistic totals against their exact closed forms.
+"""Counted statistic totals against their exact closed forms.
 
 Every tracked statistic has a closed-form total over the Catalan words of
-a given length. The brute side is one exhaustive enumeration pass; the
-closed side is binomial arithmetic. They must agree exactly.
+a given length. The brute side counts the words as prefixes times
+completions (``sweep_totals``) without listing any of them; the closed side
+is binomial arithmetic. They must agree exactly.
 """
 
 from catalan_lab import StatId, StatKind, brute_total, closed_total, sweep_totals

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="comma-separated statistics to attach (words only)")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("totals", help="brute-force vs closed-form totals")
+    p = sub.add_parser("totals", help="counted vs closed-form totals")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--stats", default="all", help="comma-separated names or 'all'")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")

@@ -1,6 +1,12 @@
 """Exact closed forms: binomials, Catalan and Narayana numbers, statistic
 totals, stratified Dyck path counts, and two-sided identity evaluation.
 
+Each statistic's total is one closed form, ``_total``, written in diagonal
+binomials C(2m+a, m+b) and their running sums over m. ``closed_total``
+evaluates it at one n from binomials; ``closed_totals`` evaluates it at
+consecutive n, stepping each diagonal from one n to the next by its term
+ratio.
+
 Everything is arbitrary-precision integer arithmetic. Binomials follow a
 single global convention: out-of-range arguments give 0. An inexact
 division raises ArithmeticError; it signals a bug, never a rounding choice.
@@ -9,9 +15,10 @@ division raises ArithmeticError; it signals a bug, never a rounding choice.
 import math
 import operator
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 
 from .words import StatId, StatKind
@@ -103,15 +110,47 @@ def _diagonal_sum(a: int, b: int, lo: int, hi: int) -> int:
     return next(_diagonal_sums(a, b, lo, hi))
 
 
-def _sym_valley_total(n: int) -> int:
-    return (3 * n - 2) * catalan(n - 1) - _half(_diagonal_sum(0, 0, 1, n))
-
-
-def _marked_high_up_count(m: int) -> int:
-    """Paths of length 2m with one marked up step ending at height two or more."""
+def _marked_high_ups(m: int, central: int, next_central: int) -> int:
+    """Paths of length 2m with one marked up step ending at height two or
+    more, from C(2m, m) and C(2m+2, m+1)."""
     if m < 2:
         return 0
-    return m * catalan(m) - (catalan(m + 1) - catalan(m))
+    cat = _exact_div(central, m + 1)
+    return m * cat - (_exact_div(next_central, m + 2) - cat)
+
+
+def _total(n: int, s: StatId, c: Callable[..., int]) -> int:
+    """The closed form of statistic ``s`` at n, for both evaluators.
+
+    ``c(a, b, k)`` is the diagonal binomial C(2m+a, m+b) at m = n + k, and
+    ``c(a, b, k, lo)`` is its sum over lo <= m <= n + k.
+    """
+    kind, ell = s.kind, s.ell
+    if kind is StatKind.SYM_VALLEY:
+        if ell is None:
+            return (3 * n - 2) * _exact_div(c(0, 0, -1), n) - _half(c(0, 0, 0, 1))
+        return _marked_high_ups(n - ell - 1, c(0, 0, -ell - 1), c(0, 0, -ell))
+    if kind is StatKind.ELL_VALLEY:
+        return c(-1, -3, -1, 3) if ell is None else c(-1, -3, -ell)
+    if kind is StatKind.SYM_PEAK:
+        return c(2, 0, -3, 0) if ell is None else c(-2, -2, -ell)
+    if kind is StatKind.ELL_PEAK:
+        return c(-1, -2, -1, 2) if ell is None else c(-1, -2, -ell)
+    if kind is StatKind.RUNS_DESC:
+        return c(0, 0) - c(0, 0, -1)
+    if kind is StatKind.RUNS_WEAK_ASC:
+        return c(0, 0, -1)
+    if kind is StatKind.RUNS_ASC or kind is StatKind.RUNS_WEAK_DESC:
+        return c(-1, 0)
+    if kind is StatKind.CORNER_HU:
+        return c(-1, -2)
+    if kind is StatKind.CORNER_DH:
+        return c(-2, -3)
+    if kind is StatKind.SEMI:
+        return _half(c(0, 0, 1) - c(0, 0))
+    if kind is StatKind.AREA:
+        return _half((1 << 2 * n) - c(0, 0))  # 4**n as a shift
+    raise ValueError(f"unknown statistic {s!r}")
 
 
 def closed_total(n: int, s: StatId) -> int:
@@ -122,111 +161,46 @@ def closed_total(n: int, s: StatId) -> int:
     """
     if n < 1:
         raise ValueError(f"closed_total is defined for n >= 1, got {n}")
-    kind, ell = s.kind, s.ell
-    if kind is StatKind.SYM_VALLEY:
-        if ell is None:
-            return _sym_valley_total(n)
-        return _marked_high_up_count(n - ell - 1)
-    if kind is StatKind.ELL_VALLEY:
-        if ell is None:
-            return _diagonal_sum(-1, -3, 3, n - 1)
-        return binomial(2 * n - 2 * ell - 1, n - ell - 3)
-    if kind is StatKind.SYM_PEAK:
-        if ell is None:
-            return _diagonal_sum(2, 0, 0, n - 3)
-        return binomial(2 * n - 2 * ell - 2, n - ell - 2)
-    if kind is StatKind.ELL_PEAK:
-        if ell is None:
-            return _diagonal_sum(-1, -2, 2, n - 1)
-        return binomial(2 * n - 2 * ell - 1, n - ell - 2)
-    if kind is StatKind.RUNS_DESC:
-        return binomial(2 * n, n) - binomial(2 * n - 2, n - 1)
-    if kind is StatKind.RUNS_WEAK_ASC:
-        return binomial(2 * n - 2, n - 1)
-    if kind is StatKind.RUNS_ASC or kind is StatKind.RUNS_WEAK_DESC:
-        return binomial(2 * n - 1, n)
-    if kind is StatKind.CORNER_HU:
-        return binomial(2 * n - 1, n - 2)
-    if kind is StatKind.CORNER_DH:
-        return binomial(2 * n - 2, n - 3)
-    if kind is StatKind.SEMI:
-        return _half(binomial(2 * n + 2, n + 1) - binomial(2 * n, n))
-    if kind is StatKind.AREA:
-        return _half(4**n - binomial(2 * n, n))
-    raise ValueError(f"unknown statistic {s!r}")
+
+    def c(a: int, b: int, k: int = 0, lo: int | None = None) -> int:
+        m = n + k
+        if lo is None:
+            return binomial(2 * m + a, m + b)
+        return _diagonal_sum(a, b, lo, m)
+
+    return _total(n, s, c)
 
 
 def closed_totals(s: StatId, first: int, count: int) -> list[int]:
     """``closed_total(n, s)`` for n = first, ..., first + count - 1, in one pass.
 
-    The same closed forms as ``closed_total``, with each binomial C(2n+a, n+b)
-    and each diagonal sum stepped from one n to the next by its term ratio
-    and 4**n by a factor 4, so a term costs a few big-integer products rather
-    than fresh binomials.
+    The same closed forms as ``closed_total``, with each diagonal binomial
+    and each diagonal sum a stream stepped from one n to the next by its term
+    ratio, so a term costs a few big-integer products rather than fresh
+    binomials.
     """
     if first < 1:
         raise ValueError(f"first n must be at least 1, got {first}")
     if count < 1:
         raise ValueError(f"term count must be positive, got {count}")
-    kind, ell = s.kind, s.ell
-    ns = range(first, first + count)
+    streams: dict[tuple, Iterator[int]] = {}
+    now: dict[tuple, int] = {}
 
-    def diag(a: int, b: int, shift: int = 0) -> Iterator[int]:
-        """C(2m+a, m+b) for m = n + shift, n = first, first + 1, ..."""
-        return _diagonal(a, b, first + shift)
+    def c(n: int, a: int, b: int, k: int = 0, lo: int | None = None) -> int:
+        key = (a, b, k, lo)
+        if key not in streams:  # a stream starts at the n of its first read
+            m = n + k
+            stream = _diagonal(a, b, m) if lo is None else _diagonal_sums(a, b, lo, m)
+            streams[key], now[key] = stream, next(stream)
+        return now[key]
 
-    if kind is StatKind.SYM_VALLEY:
-        if ell is None:
-            values = map(
-                lambda n, c, total: (3 * n - 2) * _exact_div(c, n) - _half(total),
-                ns,
-                diag(0, 0, -1),
-                _diagonal_sums(0, 0, 1, first),
-            )
-        else:
-            def marked(n: int, c: int, c_next: int) -> int:
-                # _marked_high_up_count(m) from C(2m, m) and C(2m+2, m+1)
-                m = n - ell - 1
-                if m < 2:
-                    return 0
-                cat = _exact_div(c, m + 1)
-                return m * cat - (_exact_div(c_next, m + 2) - cat)
-
-            values = map(marked, ns, diag(0, 0, -ell - 1), diag(0, 0, -ell))
-    elif kind is StatKind.ELL_VALLEY:
-        if ell is None:
-            values = _diagonal_sums(-1, -3, 3, first - 1)
-        else:
-            values = diag(-1, -3, -ell)
-    elif kind is StatKind.SYM_PEAK:
-        if ell is None:
-            values = _diagonal_sums(2, 0, 0, first - 3)
-        else:
-            values = diag(-2, -2, -ell)
-    elif kind is StatKind.ELL_PEAK:
-        if ell is None:
-            values = _diagonal_sums(-1, -2, 2, first - 1)
-        else:
-            values = diag(-1, -2, -ell)
-    elif kind is StatKind.RUNS_DESC:
-        values = map(operator.sub, diag(0, 0), diag(-2, -1))
-    elif kind is StatKind.RUNS_WEAK_ASC:
-        values = diag(-2, -1)
-    elif kind is StatKind.RUNS_ASC or kind is StatKind.RUNS_WEAK_DESC:
-        values = diag(-1, 0)
-    elif kind is StatKind.CORNER_HU:
-        values = diag(-1, -2)
-    elif kind is StatKind.CORNER_DH:
-        values = diag(-2, -3)
-    elif kind is StatKind.SEMI:
-        values = map(lambda c_next, c: _half(c_next - c), diag(0, 0, 1), diag(0, 0))
-    elif kind is StatKind.AREA:
-        powers = accumulate(repeat(4), operator.mul, initial=4**first)
-        values = map(lambda p, c: _half(p - c), powers, diag(0, 0))
-    else:
-        raise ValueError(f"unknown statistic {s!r}")
-    # islice stops before stepping past the last term
-    return list(islice(values, count))
+    totals = []
+    for n in range(first, first + count):
+        # every stream steps once per n, and never past the last term
+        for key, stream in streams.items():
+            now[key] = next(stream)
+        totals.append(_total(n, s, partial(c, n)))
+    return totals
 
 
 def dyck_count_by_ddu(n: int, k: int) -> int:
@@ -377,8 +351,12 @@ def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityR
         # equal to lhs only when lhs, mid and short all agree
         return IdentityResult(lhs, short if mid == lhs else mid)
     if ident is IdentityId.SYM_VALLEY_MARK_SUM:
-        lhs = sum(_marked_high_up_count(n - l - 1) for l in range(1, max(n - 2, 1)))
-        rhs = _sym_valley_total(n)
+        # the sym-valley:ell rows, m = n - ell - 1, summed over ell
+        lhs = sum(
+            _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
+            for m in range(2, n - 1)
+        )
+        rhs = closed_total(n, StatId(StatKind.SYM_VALLEY))
         return IdentityResult(lhs, rhs)
     if ident is IdentityId.HALF_CENTRAL:
         return IdentityResult(_half(binomial(2 * n, n)), binomial(2 * n - 1, n))

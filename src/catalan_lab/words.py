@@ -124,13 +124,19 @@ class StatId:
 
     @classmethod
     def parse(cls, text: str) -> "StatId":
-        name, _, suffix = text.partition(":")
+        name, colon, suffix = text.partition(":")
         try:
             kind = StatKind(name.strip())
         except ValueError:
             valid = ", ".join(k.value for k in StatKind)
             raise ValueError(f"unknown statistic {name!r}; expected one of {valid}")
-        return cls(kind, int(suffix) if suffix else None)
+        if not colon:
+            return cls(kind)
+        try:
+            ell = int(suffix)
+        except ValueError:
+            raise ValueError(f"ell must be an integer, got {suffix!r}") from None
+        return cls(kind, ell)
 
     def __str__(self) -> str:
         if self.ell is None:

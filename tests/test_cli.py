@@ -193,6 +193,12 @@ class TestTotals:
         )
         assert code == 2 and "bogus" in err
 
+    def test_empty_ell_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "totals", "--n-max", "3", "--stats", "sym-valley:"
+        )
+        assert (code, out) == (2, "") and "ell must be an integer" in err
+
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(capsys, "totals", "--n-max", "0", "--stats", "area")
         assert code == 0 and out == ""

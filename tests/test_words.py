@@ -137,6 +137,10 @@ class TestStatId:
             StatId(StatKind.ELL_PEAK, 0)
         with pytest.raises(ValueError):
             StatId.parse("no-such-stat")
+        with pytest.raises(ValueError, match="ell must be an integer, got ''"):
+            StatId.parse("sym-valley:")
+        with pytest.raises(ValueError, match="ell must be an integer, got 'x'"):
+            StatId.parse("sym-valley:x")
 
 
 class TestStatValue:
