@@ -18,7 +18,6 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import accumulate, chain, islice, repeat
 
 from .words import StatId, StatKind
@@ -186,7 +185,7 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
     streams: dict[tuple, Iterator[int]] = {}
     now: dict[tuple, int] = {}
 
-    def c(n: int, a: int, b: int, k: int = 0, lo: int | None = None) -> int:
+    def c(a: int, b: int, k: int = 0, lo: int | None = None) -> int:
         key = (a, b, k, lo)
         if key not in streams:  # a stream starts at the n of its first read
             m = n + k
@@ -199,7 +198,7 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
         # every stream steps once per n, and never past the last term
         for key, stream in streams.items():
             now[key] = next(stream)
-        totals.append(_total(n, s, partial(c, n)))
+        totals.append(_total(n, s, c))
     return totals
 
 
@@ -351,7 +350,7 @@ def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityR
         # equal to lhs only when lhs, mid and short all agree
         return IdentityResult(lhs, short if mid == lhs else mid)
     if ident is IdentityId.SYM_VALLEY_MARK_SUM:
-        # the sym-valley:ell rows, m = n - ell - 1, summed over ell
+        # the sym-valley:ell rows, m = n - ell - 1, summed over the nonzero ones
         lhs = sum(
             _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
             for m in range(2, n - 1)

@@ -216,11 +216,7 @@ class TestDiagonalSum:
         assert _diagonal_sum(0, 0, 5, 4) == 0
         assert _diagonal_sum(2, 0, 0, -1) == 0
 
-    @pytest.mark.parametrize(
-        "s",
-        list(DEFINITIONAL_TOTALS),
-        ids=lambda s: str(s.kind) if s.ell is None else f"{s.kind}:{s.ell}",
-    )
+    @pytest.mark.parametrize("s", list(DEFINITIONAL_TOTALS), ids=str)
     def test_all_ell_totals_across_row_limit(self, s):
         sizes = list(range(1, 41)) + [
             PASCAL_ROW_LIMIT - 1,
