@@ -225,6 +225,24 @@ class TestRaney:
                 return
         assert self.valid_shifts(vals) == [raney_shift(vals)]
 
+    def test_against_rotation_definition_long(self):
+        # long sequences over a narrow range repeat the minimal prefix sum often
+        rng = random.Random(2024)
+        for _ in range(2000):
+            length = rng.randint(1, 300)
+            vals = [rng.randint(-2, 2) for _ in range(length - 1)]
+            vals.append(1 - sum(vals))
+            # rotation r + 1 is valid when no partial sum of it is <= 0
+            doubled = vals + vals
+            valid = [
+                r + 1
+                for r in range(length)
+                if not any(
+                    map((0).__ge__, itertools.accumulate(doubled[r : r + length]))
+                )
+            ]
+            assert valid == [raney_shift(vals)]
+
 
 class TestPeakMachinery:
     def test_decompose_examples(self):

@@ -70,6 +70,13 @@ class TestEnumerate:
         assert code == 2
         assert "16" in err
 
+    def test_paths_ceiling_prints_nothing(self, capsys):
+        # the csv header would come first if the ceiling were checked lazily
+        code, out, err = run_cli(
+            capsys, "enumerate", "--kind", "paths", "--n", "17", "--format", "csv"
+        )
+        assert (code, out) == (2, "") and "16" in err
+
     def test_max_n_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CATALAN_LAB_MAX_N", "2")
         code, _, err = run_cli(capsys, "enumerate", "--kind", "words", "--n", "3")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -62,6 +63,26 @@ class TestPathType:
         with pytest.raises(ValueError):
             P("UXD")
 
+    @pytest.mark.parametrize("steps", [(1, 0), (1, 2), ("U",), ([1],)])
+    def test_invalid_step_named(self, steps):
+        # an unhashable step is refused as a bad step too, not as a TypeError
+        bad = repr(steps[-1])
+        with pytest.raises(ValueError) as raised:
+            Path(steps)
+        assert str(raised.value) == f"steps must be +1 (U) or -1 (D), got {bad}"
+
+    def test_cached_heights_keep_value_semantics(self):
+        p = P("UUDUDDUD")
+        profile = p.height_profile
+        assert p.min_height == 0
+        fresh = P("UUDUDDUD")
+        assert p == fresh and hash(p) == hash(fresh)
+        assert p.height_profile is profile
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p)
+        assert copy.height_profile == profile == (1, 2, 1, 2, 1, 0, 1, 0)
+        assert copy.min_height == 0
+
     def test_marked_path_validation(self):
         mp = MarkedPath(P("UUDD"), 1, 2)
         assert mp.marked_factor == (U, D)
@@ -122,13 +143,20 @@ class TestEnumerateDyck:
         def key(p):
             return tuple(0 if s == U else 1 for s in p.steps)
 
-        for n in range(7):
+        for n in range(10):
             got = [key(p) for p in enumerate_dyck(n)]
             assert got == sorted(got)
 
     def test_ceiling_refusal_names_limit(self):
         with pytest.raises(EnumerationLimitError, match="16"):
             next(enumerate_dyck(17))
+
+    def test_ceiling_refused_on_call(self):
+        # the refusal comes before any path is asked for
+        with pytest.raises(EnumerationLimitError):
+            enumerate_dyck(17)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_lattice(34, 0)
 
     def test_ceiling_override(self):
         assert sum(1 for _ in enumerate_dyck(3, max_n=3)) == 5
@@ -178,6 +206,19 @@ class TestEnumerateLattice:
 
     def test_n4_count(self):
         assert len(list(enumerate_lattice(4, 0))) == 6
+
+    def test_exact_order_to_a12(self):
+        def key(steps):
+            return tuple(0 if s == U else 1 for s in steps)
+
+        for a in range(13):
+            by_end = {}
+            for steps in itertools.product((U, D), repeat=a):
+                by_end.setdefault(sum(steps), []).append(steps)
+            for b in range(-a, a + 1, 2):
+                expected = sorted(by_end[b], key=key)
+                got = [p.steps for p in enumerate_lattice(a, b)]
+                assert got == expected, (a, b)
 
     def test_counts_to_a12(self):
         from catalan_lab import binomial
