@@ -9,6 +9,7 @@ histograms of the adjacency statistics come from a count over the last
 letter, with no enumeration.
 """
 
+import re
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -132,11 +133,10 @@ class StatId:
             raise ValueError(f"unknown statistic {name!r}; expected one of {valid}")
         if not colon:
             return cls(kind)
-        try:
-            ell = int(suffix)
-        except ValueError:
-            raise ValueError(f"ell must be an integer, got {suffix!r}") from None
-        return cls(kind, ell)
+        # int() alone would also take "1_0", "+1" and non-ASCII digits
+        if not re.fullmatch("-?[0-9]+", suffix.strip()):
+            raise ValueError(f"ell must be an integer, got {suffix!r}")
+        return cls(kind, int(suffix))
 
     def __str__(self) -> str:
         if self.ell is None:

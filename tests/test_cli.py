@@ -206,6 +206,12 @@ class TestTotals:
         )
         assert (code, out) == (2, "") and "ell must be an integer" in err
 
+    def test_underscored_ell_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "totals", "--n-max", "1", "--stats", "sym-valley:1_0"
+        )
+        assert (code, out) == (2, "") and "ell must be an integer, got '1_0'" in err
+
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(capsys, "totals", "--n-max", "0", "--stats", "area")
         assert code == 0 and out == ""

@@ -141,6 +141,13 @@ class TestStatId:
             StatId.parse("sym-valley:")
         with pytest.raises(ValueError, match="ell must be an integer, got 'x'"):
             StatId.parse("sym-valley:x")
+        for text in ("1_0", "+1", "\u0661", "1.0"):
+            with pytest.raises(ValueError) as raised:
+                StatId.parse(f"sym-valley:{text}")
+            assert str(raised.value) == f"ell must be an integer, got {text!r}"
+        with pytest.raises(ValueError, match="ell must be positive, got -1"):
+            StatId.parse("sym-valley:-1")
+        assert StatId.parse("sym-valley: 2 ") == StatId(StatKind.SYM_VALLEY, 2)
 
 
 class TestStatValue:
