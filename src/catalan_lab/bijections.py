@@ -9,6 +9,8 @@ handed to it.
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import indexOf
 
 from .paths import (
     D,
@@ -222,15 +224,11 @@ def raney_shift(values: Sequence[int]) -> int:
     total = sum(vals)
     if total != 1:
         raise ValueError(f"sequence must sum to 1, got {total}")
-    best_j = 0
-    best = 0
-    s = 0
-    for j in range(1, len(vals)):
-        s += vals[j - 1]
-        if s <= best:
-            best = s
-            best_j = j
-    return best_j + 1
+    # The prefix sum of the first j values is 1 minus the sum of the last
+    # len - j, so the last minimal prefix ends where, reading from the right,
+    # the suffix sum first reaches its maximum.
+    top = max(accumulate(reversed(vals)))
+    return len(vals) - indexOf(accumulate(reversed(vals)), top)
 
 
 @dataclass(frozen=True)
@@ -531,5 +529,4 @@ def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     arrangement = [D] * n + [U] * (n + 1)
     rng.shuffle(arrangement)
     r = raney_shift(arrangement)
-    rotated = arrangement[r - 1 :] + arrangement[: r - 1]
-    return Path(tuple(rotated[1:]))
+    return Path(tuple(arrangement[r:] + arrangement[: r - 1]))

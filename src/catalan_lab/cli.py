@@ -108,8 +108,13 @@ def cmd_enumerate(args) -> int:
     else:
         items = enumerate_dyck(args.n, max_n=args.max_n)
     rows = (
-        {"index": i, "value": str(item)}
-        | ({"stats": {str(s): stat_value(item, s) for s in stats}} if stats else {})
+        {
+            "index": i,
+            "value": str(item),
+            "stats": {str(s): stat_value(item, s) for s in stats},
+        }
+        if stats
+        else {"index": i, "value": str(item)}
         for i, item in enumerate(items)
     )
     header = ["index", "value"] + [str(s) for s in stats]

@@ -10,15 +10,32 @@ marked-path sets, unit decomposition, and the (ddu, udu) factor profile.
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
+from operator import neg
 
 from .limits import check_ceiling
 
 U = 1
 D = -1
 
+_STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
 _STEP_TO_CHAR = {U: "U", D: "D"}
+
+
+# Not functools.cached_property: before Python 3.12 it locks on every first read.
+class _cached:
+    """Compute an attribute on first read and keep it in the instance dict."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -28,6 +45,11 @@ class Path:
     steps: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            if _STEPS.issuperset(self.steps):
+                return
+        except TypeError:  # an unhashable step, named by the loop below
+            pass
         for s in self.steps:
             if s != U and s != D:
                 raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
@@ -43,27 +65,22 @@ class Path:
     def length(self) -> int:
         return len(self.steps)
 
-    @cached_property
+    @_cached
     def height_profile(self) -> tuple[int, ...]:
         """Heights after each step; the implicit starting height 0 is not included."""
-        heights = []
-        h = 0
-        for s in self.steps:
-            h += s
-            heights.append(h)
-        return tuple(heights)
+        return tuple(accumulate(self.steps))
 
     @property
     def final_height(self) -> int:
-        return self.height_profile[-1] if self.steps else 0
+        return sum(self.steps)
 
-    @cached_property
+    @_cached
     def min_height(self) -> int:
         """Minimum over all prefix heights, including the starting 0."""
-        return min((0,) + self.height_profile)
+        return min(accumulate(self.steps, initial=0))
 
     def __str__(self) -> str:
-        return "".join(_STEP_TO_CHAR[s] for s in self.steps)
+        return "".join(map(_STEP_TO_CHAR.__getitem__, self.steps))
 
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
@@ -126,52 +143,54 @@ def _require_dyck(p: Path) -> None:
         raise ValueError(f"expected a Dyck path, got {p!r}")
 
 
+def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
+    """Yield the paths of ``ups`` U and ``downs`` D steps that never go below
+    ``floor``, in lexicographic order (U < D); ``floor`` is at most the final
+    height.
+
+    Each successor turns the rightmost U that can become a D into one and
+    completes the path with its smallest tail: all remaining U, then all D.
+    That U needs a D somewhere after it and a height above ``floor`` before it.
+    """
+    smallest = [U] * ups + [D] * downs
+    steps = smallest[:]
+    length = ups + downs
+    while True:
+        yield Path(tuple(steps))
+        height = ups - downs  # before step i, scanning from the right
+        tail_downs = 0
+        i = length
+        while i:
+            i -= 1
+            if steps[i] == D:
+                tail_downs += 1
+                height += 1
+            else:
+                height -= 1
+                if tail_downs and height > floor:
+                    break
+        else:
+            return
+        steps[i] = D
+        tail_ups = length - i - tail_downs
+        steps[i + 1 :] = smallest[ups - tail_ups : ups + tail_downs - 1]
+
+
 def enumerate_dyck(n: int, *, max_n: int | None = None) -> Iterator[Path]:
     """Yield all Dyck paths of length 2n in lexicographic order (U < D)."""
     check_ceiling(n, max_n)
-    seq: list[int] = []
-
-    def rec(ups: int, height: int) -> Iterator[Path]:
-        if len(seq) == 2 * n:
-            yield Path(tuple(seq))
-            return
-        if ups < n:
-            seq.append(U)
-            yield from rec(ups + 1, height + 1)
-            seq.pop()
-        if height > 0:
-            seq.append(D)
-            yield from rec(ups, height - 1)
-            seq.pop()
-
-    return rec(0, 0)
+    return _lex_paths(n, n, 0)
 
 
 def enumerate_lattice(a: int, b: int, *, max_n: int | None = None) -> Iterator[Path]:
     """Yield all paths with ``a`` steps ending at height ``b``, lexicographically."""
     end = Endpoint(a, b)
     check_ceiling((a + 1) // 2, max_n)
-
-    seq: list[int] = []
-
-    def rec(ups: int, downs: int) -> Iterator[Path]:
-        if len(seq) == a:
-            yield Path(tuple(seq))
-            return
-        if ups < end.ups:
-            seq.append(U)
-            yield from rec(ups + 1, downs)
-            seq.pop()
-        if downs < end.downs:
-            seq.append(D)
-            yield from rec(ups, downs + 1)
-            seq.pop()
-
-    return rec(0, 0)
+    return _lex_paths(end.ups, end.downs, -end.downs)
 
 
 def _rc(steps: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-s for s in reversed(steps))
+    return tuple(map(neg, reversed(steps)))
 
 
 def reverse_complement(p: Path) -> Path:
