@@ -224,9 +224,9 @@ def raney_shift(values: Sequence[int]) -> int:
     total = sum(vals)
     if total != 1:
         raise ValueError(f"sequence must sum to 1, got {total}")
-    # The prefix sum of the first j values is 1 minus the sum of the last
-    # len - j, so the last minimal prefix ends where, reading from the right,
-    # the suffix sum first reaches its maximum.
+    # The sum of the first j values is 1 minus the sum of the other len - j,
+    # so the last minimal prefix sum is the first maximal suffix sum, read
+    # from the right.
     top = max(accumulate(reversed(vals)))
     return len(vals) - indexOf(accumulate(reversed(vals)), top)
 

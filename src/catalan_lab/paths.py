@@ -144,9 +144,8 @@ def _require_dyck(p: Path) -> None:
 
 
 def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
-    """Yield the paths of ``ups`` U and ``downs`` D steps that never go below
-    ``floor``, in lexicographic order (U < D); ``floor`` is at most the final
-    height.
+    """Yield, lexicographically (U < D), the paths of ``ups`` U and ``downs`` D
+    steps that never go below ``floor``, which is at most the final height.
 
     Each successor turns the rightmost U that can become a D into one and
     completes the path with its smallest tail: all remaining U, then all D.
