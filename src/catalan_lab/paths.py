@@ -147,9 +147,8 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
     """Yield, lexicographically (U < D), the paths of ``ups`` U and ``downs`` D
     steps that never go below ``floor``, which is at most the final height.
 
-    Each successor turns the rightmost U that can become a D into one and
-    completes the path with its smallest tail: all remaining U, then all D.
-    That U needs a D somewhere after it and a height above ``floor`` before it.
+    The successor turns the rightmost U with a D after it and a height above
+    ``floor`` before it into a D, then adds all remaining U, then all D.
     """
     smallest = [U] * ups + [D] * downs
     steps = smallest[:]
