@@ -392,6 +392,36 @@ class TestAreaMap:
         with pytest.raises(ValueError):
             area_mark_decode(P("UD"))
 
+    @staticmethod
+    def block_encode(am):
+        """The area map written over the level blocks after the marked step."""
+        steps, m = am.path.steps, am.height
+        blocks, cur, level, h = [], [], m, m
+        for s in steps[am.up_index + 1 :]:
+            if s == D and h == level:  # first crossing of each level
+                blocks.append(tuple(cur))
+                cur, level, h = [], level - 1, h - 1
+                continue
+            cur.append(s)
+            h += s
+        blocks.append(tuple(cur))
+        assert len(blocks) == m + 1 and h == 0
+        out = list(blocks[0])
+        for i in range(1, am.j + 1):
+            out += [D, *blocks[i]]
+        tail = list(blocks[am.j + 1])
+        for i in range(am.j + 2, m + 1):
+            tail += [D, *blocks[i]]
+        head = steps[: am.up_index]
+        out += [D, *(-s for s in reversed(head)), D, *(-s for s in reversed(tail))]
+        return Path(tuple(out))
+
+    def test_encode_matches_level_blocks(self):
+        for n in range(1, 9):
+            for p in enumerate_dyck(n):
+                for am in BIJECTIONS["area"].marks(p):
+                    assert area_mark_encode(am) == self.block_encode(am), am
+
 
 class TestLastPassage:
     def test_n2_classes(self):
@@ -450,6 +480,35 @@ class TestSampler:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             random_dyck_path(-1)
+
+    @staticmethod
+    def shuffle_draw(n, rng):
+        """The sampler written with random.Random.shuffle."""
+        arrangement = [D] * n + [U] * (n + 1)
+        rng.shuffle(arrangement)
+        r = raney_shift(arrangement)
+        return Path(tuple(arrangement[r:] + arrangement[: r - 1]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1])
+    def test_same_draws_as_shuffle(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in [*range(71), 127, 128, 255, 256, 1000]:
+            assert random_dyck_path(n, rng) == self.shuffle_draw(n, ref), n
+            assert rng.getstate() == ref.getstate(), n
+
+    def test_same_large_draw_as_shuffle(self):
+        rng, ref = random.Random(5), random.Random(5)
+        assert random_dyck_path(100000, rng) == self.shuffle_draw(100000, ref)
+        assert rng.getstate() == ref.getstate()
+
+    def test_same_draws_between_choices(self):
+        # as Bijection.draw: a path, then a choice among its steps
+        rng, ref = random.Random(99), random.Random(99)
+        for n in range(1, 40):
+            p, q = random_dyck_path(n, rng), self.shuffle_draw(n, ref)
+            assert p == q
+            assert rng.choice(range(len(p))) == ref.choice(range(len(q)))
+            assert rng.getstate() == ref.getstate()
 
 
 class TestMarkedSetHelper:

@@ -335,6 +335,38 @@ class TestCountFactor:
                         )
                         assert got == expected, (s, pat, terminal, height)
 
+    def test_occurrences_match_slices_on_all_short_paths(self):
+        patterns = [q.steps for k in range(1, 5) for q in all_step_strings(k)]
+        filters = list(itertools.product((None, 0, 2), (None, True, False)))
+        for length in range(9):
+            for p in all_step_strings(length):
+                steps, heights = p.steps, (0,) + p.height_profile
+                tail = length
+                while tail and steps[tail - 1] == D:
+                    tail -= 1
+                for pat in patterns:
+                    k = len(pat)
+                    starts = [
+                        i for i in range(length - k + 1) if steps[i : i + k] == pat
+                    ]
+                    for height, terminal in filters:
+                        expected = [
+                            i
+                            for i in starts
+                            if (height is None or heights[i + k] >= height)
+                            and (
+                                terminal is None
+                                or all(i + j >= tail for j in range(k) if pat[j] == D)
+                                == terminal
+                            )
+                        ]
+                        got = factor_occurrences(
+                            p, pat, min_end_height=height, terminal=terminal
+                        )
+                        assert got == expected, (p, pat, height, terminal)
+                assert factor_occurrences(p, (1, 2)) == []
+                assert factor_occurrences(p, (0,)) == []
+
 
 class TestUnits:
     def test_examples(self):
