@@ -7,6 +7,8 @@ handed to it.
 """
 
 import random
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -403,58 +405,19 @@ class AreaMark:
         return self.path.height_profile[self.up_index]
 
 
-def _descent_blocks(steps: tuple[int, ...], start_height: int) -> list[tuple[int, ...]]:
-    """Split a path from start_height down to 0 at the first crossing of each level.
-
-    Returns start_height + 1 blocks, each a Dyck factor at its level; the
-    separating down steps are dropped.
-    """
-    blocks: list[tuple[int, ...]] = []
-    cur: list[int] = []
-    level = start_height
-    h = start_height
-    for s in steps:
-        if s == D and h == level:
-            blocks.append(tuple(cur))
-            cur = []
-            level -= 1
-            h -= 1
-            continue
-        cur.append(s)
-        h += s
-    blocks.append(tuple(cur))
-    if len(blocks) != start_height + 1 or h != 0:
-        raise ValueError("section does not descend cleanly to the axis")
-    return blocks
-
-
 def area_mark_encode(am: AreaMark) -> Path:
     """Map an area mark to a path of the same length with negative endpoint.
 
-    Splitting the path as head + U + blocks (the marked up step at height m,
-    then the m+1 level blocks), the image chains the first j+1 blocks with
-    down steps, inserts the reverse-complemented head between two down
-    steps, and appends the reverse-complement of the remaining chained
-    blocks. The endpoint lands at -2j - 2 and the minimum at -(m + j + 1).
+    Write the path as head + U + rest, the marked up step ending at height m,
+    and let s be the first step of rest ending at height m - j - 1. The image
+    is the steps between the mark and s (the first j + 1 level blocks chained
+    by their down steps), a down step, the reverse-complemented head, a down
+    step, and the reverse-complemented steps after s. The endpoint lands at
+    -2j - 2 and the minimum at -(m + j + 1).
     """
-    steps = am.path.steps
-    head = steps[: am.up_index]
-    m = am.height
-    blocks = _descent_blocks(steps[am.up_index + 1 :], m)
-    out: list[int] = []
-    out.extend(blocks[0])
-    for i in range(1, am.j + 1):
-        out.append(D)
-        out.extend(blocks[i])
-    out.append(D)
-    out.extend(_rc(head))
-    out.append(D)
-    tail: list[int] = list(blocks[am.j + 1])
-    for i in range(am.j + 2, m + 1):
-        tail.append(D)
-        tail.extend(blocks[i])
-    out.extend(_rc(tail))
-    return Path(tuple(out))
+    steps, u = am.path.steps, am.up_index
+    s = am.path.height_profile.index(am.height - am.j - 1, u + 1)
+    return Path(steps[u + 1 : s] + (D,) + _rc(steps[:u]) + (D,) + _rc(steps[s + 1 :]))
 
 
 def area_mark_decode(image: Path) -> AreaMark:
@@ -475,8 +438,8 @@ def area_mark_decode(image: Path) -> AreaMark:
     if not 0 <= j < m <= n:
         raise ValueError("endpoint and minimum heights are inconsistent")
     heights = (0,) + image.height_profile
-    a = next(v for v, h in enumerate(heights) if h == -j - 1)
-    b = next(v for v, h in enumerate(heights) if h == image.min_height)
+    a = heights.index(-j - 1)
+    b = heights.index(image.min_height)
     if image.steps[a - 1] != D or image.steps[b - 1] != D:
         raise ValueError("split points are not down steps")
     head = _rc(image.steps[a : b - 1])
@@ -514,19 +477,49 @@ def last_passage_class(lam: Path) -> tuple[str, int | None]:
     return (best[1], best[0])
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place with exactly the draws of ``rng.shuffle(x)``.
+
+    Step i of ``random.Random.shuffle`` swaps x[i] with x[j], j drawn by
+    ``getrandbits(k)`` with k = (i + 1).bit_length() and drawn again while
+    j > i. On CPython 3.10-3.12, ``getrandbits(k)`` for k <= 32 is the top k
+    bits of one Mersenne Twister word, and ``getrandbits(32 * i)`` packs i
+    successive words, least significant first. Every step takes at least one
+    word, so a block of i words never draws past what ``shuffle`` would.
+    """
+    i = len(x) - 1
+    k = (i + 1).bit_length()
+    shift = 32 - k
+    low = (1 << k) // 2 - 1  # i + 1 keeps its bit length while i >= low
+    while i > 0:
+        words = array("I", rng.getrandbits(32 * i).to_bytes(4 * i, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for w in words:
+            j = w >> shift
+            if j <= i:
+                x[i], x[j] = x[j], x[i]
+                i -= 1
+                if i < low:
+                    shift += 1
+                    low >>= 1
+
+
 def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
 
     Shuffles n down and n + 1 up steps, finds the unique rotation with
     all-positive partial sums, and drops its forced leading up step. Every
     Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
-    without rejection.
+    without rejection. The only generator method called is
+    ``rng.getrandbits``, in blocks, and the words drawn and the state left
+    behind are those of ``rng.shuffle`` on the arrangement.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     if rng is None:
         rng = random.Random()
     arrangement = [D] * n + [U] * (n + 1)
-    rng.shuffle(arrangement)
+    _shuffle(rng, arrangement)
     r = raney_shift(arrangement)
     return Path(tuple(arrangement[r:] + arrangement[: r - 1]))

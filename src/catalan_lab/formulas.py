@@ -1,7 +1,7 @@
 """Exact closed forms: binomials, Catalan and Narayana numbers, statistic
 totals, stratified Dyck path counts, and two-sided identity evaluation.
 
-Each statistic's total is one closed form, ``_total``, written in diagonal
+Each statistic's total is one closed form, ``_form``, written in diagonal
 binomials C(2m+a, m+b) and their running sums over m. ``closed_total``
 evaluates it at one n from binomials; ``closed_totals`` evaluates it at
 consecutive n, stepping each diagonal from one n to the next by its term
@@ -118,37 +118,41 @@ def _marked_high_ups(m: int, central: int, next_central: int) -> int:
     return m * cat - (_exact_div(next_central, m + 2) - cat)
 
 
-def _total(n: int, s: StatId, c: Callable[..., int]) -> int:
-    """The closed form of statistic ``s`` at n, for both evaluators.
+def _form(s: StatId) -> Callable[[int, Callable[..., int]], int]:
+    """The closed form of statistic ``s``, as ``form(n, c)``, for both evaluators.
 
     ``c(a, b, k)`` is the diagonal binomial C(2m+a, m+b) at m = n + k, and
     ``c(a, b, k, lo)`` is its sum over lo <= m <= n + k.
     """
     kind, ell = s.kind, s.ell
+    if kind is StatKind.SYM_VALLEY and ell is None:
+        return lambda n, c: (
+            (3 * n - 2) * _exact_div(c(0, 0, -1), n) - _half(c(0, 0, 0, 1))
+        )
     if kind is StatKind.SYM_VALLEY:
-        if ell is None:
-            return (3 * n - 2) * _exact_div(c(0, 0, -1), n) - _half(c(0, 0, 0, 1))
-        return _marked_high_ups(n - ell - 1, c(0, 0, -ell - 1), c(0, 0, -ell))
+        return lambda n, c: (
+            _marked_high_ups(n - ell - 1, c(0, 0, -ell - 1), c(0, 0, -ell))
+        )
     if kind is StatKind.ELL_VALLEY:
-        return c(-1, -3, -1, 3) if ell is None else c(-1, -3, -ell)
+        return lambda n, c: c(-1, -3, -1, 3) if ell is None else c(-1, -3, -ell)
     if kind is StatKind.SYM_PEAK:
-        return c(2, 0, -3, 0) if ell is None else c(-2, -2, -ell)
+        return lambda n, c: c(2, 0, -3, 0) if ell is None else c(-2, -2, -ell)
     if kind is StatKind.ELL_PEAK:
-        return c(-1, -2, -1, 2) if ell is None else c(-1, -2, -ell)
+        return lambda n, c: c(-1, -2, -1, 2) if ell is None else c(-1, -2, -ell)
     if kind is StatKind.RUNS_DESC:
-        return c(0, 0) - c(0, 0, -1)
+        return lambda n, c: c(0, 0) - c(0, 0, -1)
     if kind is StatKind.RUNS_WEAK_ASC:
-        return c(0, 0, -1)
+        return lambda n, c: c(0, 0, -1)
     if kind is StatKind.RUNS_ASC or kind is StatKind.RUNS_WEAK_DESC:
-        return c(-1, 0)
+        return lambda n, c: c(-1, 0)
     if kind is StatKind.CORNER_HU:
-        return c(-1, -2)
+        return lambda n, c: c(-1, -2)
     if kind is StatKind.CORNER_DH:
-        return c(-2, -3)
+        return lambda n, c: c(-2, -3)
     if kind is StatKind.SEMI:
-        return _half(c(0, 0, 1) - c(0, 0))
+        return lambda n, c: _half(c(0, 0, 1) - c(0, 0))
     if kind is StatKind.AREA:
-        return _half((1 << 2 * n) - c(0, 0))  # 4**n as a shift
+        return lambda n, c: _half((1 << 2 * n) - c(0, 0))  # 4**n as a shift
     raise ValueError(f"unknown statistic {s!r}")
 
 
@@ -167,7 +171,7 @@ def closed_total(n: int, s: StatId) -> int:
             return binomial(2 * m + a, m + b)
         return _diagonal_sum(a, b, lo, m)
 
-    return _total(n, s, c)
+    return _form(s)(n, c)
 
 
 def closed_totals(s: StatId, first: int, count: int) -> list[int]:
@@ -182,6 +186,7 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
         raise ValueError(f"first n must be at least 1, got {first}")
     if count < 1:
         raise ValueError(f"term count must be positive, got {count}")
+    form = _form(s)
     streams: dict[tuple, Iterator[int]] = {}
     now: dict[tuple, int] = {}
 
@@ -198,7 +203,7 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
         # every stream steps once per n, and never past the last term
         for key, stream in streams.items():
             now[key] = next(stream)
-        totals.append(_total(n, s, c))
+        totals.append(form(n, c))
     return totals
 
 

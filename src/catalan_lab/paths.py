@@ -196,14 +196,6 @@ def reverse_complement(p: Path) -> Path:
     return Path(_rc(p.steps))
 
 
-def _final_run_start(p: Path) -> int:
-    """Index where the trailing run of D steps begins (length(p) if none)."""
-    i = p.length
-    while i > 0 and p.steps[i - 1] == D:
-        i -= 1
-    return i
-
-
 def factor_occurrences(
     p: Path,
     pattern: Path | Sequence[int],
@@ -220,21 +212,23 @@ def factor_occurrences(
     pat = tuple(pattern.steps if isinstance(pattern, Path) else pattern)
     if not pat:
         raise ValueError("pattern must be nonempty")
-    k = len(pat)
+    try:
+        word = "".join(map(_STEP_TO_CHAR.__getitem__, pat))
+    except (KeyError, TypeError):  # a step other than U or D occurs nowhere
+        return []
+    text = str(p)
     hits = []
-    profile = p.height_profile
-    tail = _final_run_start(p) if terminal is not None else 0
-    first_d = pat.index(D) if D in pat else None
-    for i in range(p.length - k + 1):
-        if p.steps[i : i + k] != pat:
-            continue
-        if min_end_height is not None and profile[i + k - 1] < min_end_height:
-            continue
-        if terminal is not None:
-            is_term = first_d is None or i + first_d >= tail
-            if is_term != terminal:
-                continue
+    i = text.find(word)
+    while i >= 0:
         hits.append(i)
+        i = text.find(word, i + 1)
+    if min_end_height is not None:
+        profile, last = p.height_profile, len(word) - 1
+        hits = [i for i in hits if profile[i + last] >= min_end_height]
+    if terminal is not None:
+        # a hit is terminal when its first D, if any, is in the trailing D run
+        first_d, tail = word.find("D"), len(text.rstrip("D"))
+        hits = [i for i in hits if (first_d < 0 or i + first_d >= tail) == terminal]
     return hits
 
 

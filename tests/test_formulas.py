@@ -1,6 +1,7 @@
 import ast
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -257,6 +258,13 @@ class TestClosedTotals:
     def test_rejects_first_or_count_below_one(self, first, count):
         with pytest.raises(ValueError):
             closed_totals(StatId(StatKind.AREA), first, count)
+
+    def test_unknown_statistic_refused(self):
+        odd = SimpleNamespace(kind=None, ell=None)
+        with pytest.raises(ValueError, match="unknown statistic"):
+            closed_total(3, odd)
+        with pytest.raises(ValueError, match="unknown statistic"):
+            closed_totals(odd, 1, 3)
 
     def test_inexact_step_raises(self, monkeypatch):
         # a first term off by one cannot be stepped by an exact division
