@@ -100,6 +100,16 @@ def test_transport_check_descriptions_are_pinned(monkeypatch):
     assert seen == pinned
 
 
+def test_identity_check_descriptions_are_pinned(monkeypatch):
+    # pins each identity's floor and k range: a floor moved down to an n where
+    # the identity still holds adds a description
+    report, seen, pinned = _pinned_descriptions(
+        monkeypatch, verify_identities, 10, "identity_checks.json"
+    )
+    assert report.cases_run == 122
+    assert seen == pinned
+
+
 # the transport comparisons that read each FACTOR_COUNTS entry
 FACTOR_READERS = {
     "uu": "runs of descents",
