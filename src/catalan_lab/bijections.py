@@ -34,16 +34,10 @@ def reflect_after_touch(p: Path, level: int) -> Path:
     the result ends at 2*level - final_height(p). Applying the map twice
     returns the original path.
     """
-    touch = None
-    if level == 0:
-        touch = 0
-    else:
-        for v, h in enumerate(p.height_profile, start=1):
-            if h == level:
-                touch = v
-                break
-    if touch is None:
-        raise ValueError(f"path never touches level {level}")
+    try:
+        touch = 0 if level == 0 else p.height_profile.index(level) + 1
+    except ValueError:
+        raise ValueError(f"path never touches level {level}") from None
     return Path(p.steps[:touch] + tuple(-s for s in p.steps[touch:]))
 
 
@@ -80,13 +74,13 @@ def split_reverse_inverse(
     heights = (0,) + image.height_profile
     low = min(heights)
     if survivor == U:
-        vertex = max(v for v, h in enumerate(heights) if h == low)
+        vertex = len(heights) - 1 - heights[::-1].index(low)
         if vertex >= image.length or image.steps[vertex] != U:
             raise ValueError("no surviving up step at the rightmost minimum")
         pre_r = image.steps[:vertex]
         post_r = image.steps[vertex + 1 :]
     else:
-        vertex = min(v for v, h in enumerate(heights) if h == low)
+        vertex = heights.index(low)
         if vertex < 1 or image.steps[vertex - 1] != D:
             raise ValueError("no surviving down step into the leftmost minimum")
         pre_r = image.steps[: vertex - 1]

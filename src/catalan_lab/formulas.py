@@ -244,22 +244,6 @@ class IdentityId(Enum):
     WEIGHTED_CATALAN = "weighted-catalan"
 
 
-# Smallest n for which each identity is claimed.
-IDENTITY_FLOOR = {
-    IdentityId.CATALAN_PEAK_SUM: 1,
-    IdentityId.CATALAN_DDU_SUM: 1,
-    IdentityId.SYM_VALLEY_SUM: 3,
-    IdentityId.LAST_PASSAGE_SUM: 2,
-    IdentityId.TERMINAL_PEAK_COUNT: 3,
-    IdentityId.DESCENT_RUN_SPLIT: 3,
-    IdentityId.BINOMIAL_PRODUCT_SUM: 1,
-    IdentityId.SEMI_PERIMETER_SPLIT: 2,
-    IdentityId.SYM_VALLEY_MARK_SUM: 1,
-    IdentityId.HALF_CENTRAL: 1,
-    IdentityId.WEIGHTED_CATALAN: 1,
-}
-
-
 @dataclass(frozen=True)
 class IdentityResult:
     lhs: int
@@ -270,100 +254,138 @@ class IdentityResult:
         return self.lhs == self.rhs
 
 
+@dataclass(frozen=True)
+class Identity:
+    """An identity claimed for every n >= ``floor``.
+
+    ``sides(n)`` returns ``(lhs, rhs)``; an identity with a k range ``ks``
+    is claimed for every k in ``ks(n)`` and evaluated as ``sides(n, k)``.
+    """
+
+    floor: int
+    sides: Callable[..., tuple[int, int]]
+    ks: Callable[[int], range] | None = None
+
+
+def _ddu_ks(n: int) -> range:
+    """The k for which some Dyck path of length 2n has k DDU factors."""
+    return range((n - 1) // 2 + 1)
+
+
+def _pair_sum(hi: int) -> int:
+    """Sum of C(2i, i-1) + C(2i-1, i) over 1 <= i < hi."""
+    return sum(binomial(2 * i, i - 1) + binomial(2 * i - 1, i) for i in range(1, hi))
+
+
+def _catalan_peak_sum(n: int) -> tuple[int, int]:
+    total = sum(
+        binomial(n, k) * binomial(n - k, k - 1) * 2 ** (n - 2 * k + 1)
+        for k in range(1, (n + 1) // 2 + 1)
+    )
+    return catalan(n), _exact_div(total, n)
+
+
+def _sym_valley_sum(n: int) -> tuple[int, int]:
+    lhs = (3 * n - 1) * catalan(n - 1)
+    rhs = 1 + binomial(2 * n - 1, n) + binomial(2 * n - 3, n - 1) + _pair_sum(n - 1)
+    return lhs, rhs
+
+
+def _terminal_peak_count(n: int) -> tuple[int, int]:
+    # terminal UUDD marks: all marks minus the non-terminal ones
+    lhs = (2 * n - 3) * catalan(n - 2) - binomial(2 * n - 3, n - 3)
+    return lhs, binomial(2 * n - 3, n - 2) - binomial(2 * n - 3, n - 3)
+
+
+def _descent_run_split(n: int) -> tuple[int, int]:
+    rhs = (
+        binomial(2 * n - 2, n - 1)
+        + catalan(n)
+        + binomial(2 * n - 1, n - 2)
+        + binomial(2 * n - 2, n - 2)
+    )
+    return binomial(2 * n, n), rhs
+
+
+def _binomial_product_sum(n: int, k: int) -> tuple[int, int]:
+    # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
+    # the Pascal rows. Stepping the terms by their own ratio instead would
+    # compute the lhs with the rhs's algebra and check nothing.
+    top = n - 1
+    if top <= PASCAL_ROW_LIMIT:
+        _pascal_row(top)  # every row up to top is built
+        cols = [_rows[m][k] * _rows[m - k][k] for m in range(top, 2 * k - 1, -1)]
+        lhs = sum(map(operator.mul, cols, _rows[top]))
+    else:
+        lhs = sum(
+            binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
+            for m in range(top, 2 * k - 1, -1)
+        )
+    return lhs, binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1)
+
+
+def _semi_perimeter_split(n: int) -> tuple[int, int]:
+    lhs = binomial(2 * n + 1, n)
+    mid = (
+        binomial(2 * n - 1, n - 1)
+        + catalan(n)
+        + binomial(2 * n, n - 1)
+        + binomial(2 * n - 1, n - 2)
+    )
+    short = 2 * binomial(2 * n, n - 1) + catalan(n)
+    # equal to lhs only when lhs, mid and short all agree
+    return lhs, short if mid == lhs else mid
+
+
+def _sym_valley_mark_sum(n: int) -> tuple[int, int]:
+    # the sym-valley:ell rows, m = n - ell - 1, summed over the nonzero ones
+    lhs = sum(
+        _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
+        for m in range(2, n - 1)
+    )
+    return lhs, closed_total(n, StatId(StatKind.SYM_VALLEY))
+
+
+IDENTITIES: dict[IdentityId, Identity] = {
+    IdentityId.CATALAN_PEAK_SUM: Identity(1, _catalan_peak_sum),
+    IdentityId.CATALAN_DDU_SUM: Identity(
+        1, lambda n: (catalan(n), sum(dyck_count_by_ddu(n, k) for k in _ddu_ks(n)))
+    ),
+    IdentityId.SYM_VALLEY_SUM: Identity(3, _sym_valley_sum),
+    IdentityId.LAST_PASSAGE_SUM: Identity(
+        2, lambda n: (binomial(2 * n - 1, n), 1 + _pair_sum(n))
+    ),
+    IdentityId.TERMINAL_PEAK_COUNT: Identity(3, _terminal_peak_count),
+    IdentityId.DESCENT_RUN_SPLIT: Identity(3, _descent_run_split),
+    IdentityId.BINOMIAL_PRODUCT_SUM: Identity(1, _binomial_product_sum, _ddu_ks),
+    IdentityId.SEMI_PERIMETER_SPLIT: Identity(2, _semi_perimeter_split),
+    IdentityId.SYM_VALLEY_MARK_SUM: Identity(1, _sym_valley_mark_sum),
+    IdentityId.HALF_CENTRAL: Identity(
+        1, lambda n: (_half(binomial(2 * n, n)), binomial(2 * n - 1, n))
+    ),
+    IdentityId.WEIGHTED_CATALAN: Identity(
+        1, lambda n: (n * catalan(n), binomial(2 * n, n - 1))
+    ),
+}
+
+# Smallest n for which each identity is claimed, read from the table.
+IDENTITY_FLOOR = {ident: entry.floor for ident, entry in IDENTITIES.items()}
+
+
 def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityResult:
     """Evaluate both sides of an identity exactly.
 
-    ``k`` is required for BINOMIAL_PRODUCT_SUM (0 <= k <= (n-1)//2) and
-    rejected elsewhere.
+    ``k`` is required for BINOMIAL_PRODUCT_SUM, the one identity with a k
+    range, and must lie in ``IDENTITIES[ident].ks(n)``, that is
+    0 <= k <= (n-1)//2; it is rejected elsewhere.
     """
-    floor = IDENTITY_FLOOR[ident]
-    if n < floor:
-        raise ValueError(f"{ident.value} holds for n >= {floor}, got n={n}")
-    if ident is not IdentityId.BINOMIAL_PRODUCT_SUM:
+    entry = IDENTITIES[ident]
+    if n < entry.floor:
+        raise ValueError(f"{ident.value} holds for n >= {entry.floor}, got n={n}")
+    if entry.ks is None:
         if k is not None:
             raise ValueError(f"{ident.value} takes no auxiliary k")
-    if ident is IdentityId.CATALAN_PEAK_SUM:
-        total = sum(
-            binomial(n, k_) * binomial(n - k_, k_ - 1) * 2 ** (n - 2 * k_ + 1)
-            for k_ in range(1, (n + 1) // 2 + 1)
-        )
-        return IdentityResult(catalan(n), _exact_div(total, n))
-    if ident is IdentityId.CATALAN_DDU_SUM:
-        rhs = sum(dyck_count_by_ddu(n, k_) for k_ in range((n - 1) // 2 + 1))
-        return IdentityResult(catalan(n), rhs)
-    if ident is IdentityId.SYM_VALLEY_SUM:
-        lhs = (3 * n - 1) * catalan(n - 1)
-        rhs = (
-            1
-            + binomial(2 * n - 1, n)
-            + binomial(2 * n - 3, n - 1)
-            + sum(
-                binomial(2 * i, i - 1) + binomial(2 * i - 1, i)
-                for i in range(1, n - 1)
-            )
-        )
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.LAST_PASSAGE_SUM:
-        lhs = binomial(2 * n - 1, n)
-        rhs = 1 + sum(
-            binomial(2 * i, i - 1) + binomial(2 * i - 1, i) for i in range(1, n)
-        )
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.TERMINAL_PEAK_COUNT:
-        # terminal UUDD marks: all marks minus the non-terminal ones
-        lhs = (2 * n - 3) * catalan(n - 2) - binomial(2 * n - 3, n - 3)
-        rhs = binomial(2 * n - 3, n - 2) - binomial(2 * n - 3, n - 3)
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.DESCENT_RUN_SPLIT:
-        lhs = binomial(2 * n, n)
-        rhs = (
-            binomial(2 * n - 2, n - 1)
-            + catalan(n)
-            + binomial(2 * n - 1, n - 2)
-            + binomial(2 * n - 2, n - 2)
-        )
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.BINOMIAL_PRODUCT_SUM:
-        if k is None or k < 0 or k > (n - 1) // 2:
-            raise ValueError(
-                f"binomial-product-sum needs 0 <= k <= (n-1)//2, got k={k}"
-            )
-        # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
-        # the Pascal rows. Stepping the terms by their own ratio instead would
-        # compute the lhs with the rhs's algebra and check nothing.
-        top = n - 1
-        if top <= PASCAL_ROW_LIMIT:
-            _pascal_row(top)  # every row up to top is built
-            cols = [_rows[m][k] * _rows[m - k][k] for m in range(top, 2 * k - 1, -1)]
-            lhs = sum(map(operator.mul, cols, _rows[top]))
-        else:
-            lhs = sum(
-                binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
-                for m in range(top, 2 * k - 1, -1)
-            )
-        rhs = binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1)
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.SEMI_PERIMETER_SPLIT:
-        lhs = binomial(2 * n + 1, n)
-        mid = (
-            binomial(2 * n - 1, n - 1)
-            + catalan(n)
-            + binomial(2 * n, n - 1)
-            + binomial(2 * n - 1, n - 2)
-        )
-        short = 2 * binomial(2 * n, n - 1) + catalan(n)
-        # equal to lhs only when lhs, mid and short all agree
-        return IdentityResult(lhs, short if mid == lhs else mid)
-    if ident is IdentityId.SYM_VALLEY_MARK_SUM:
-        # the sym-valley:ell rows, m = n - ell - 1, summed over the nonzero ones
-        lhs = sum(
-            _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
-            for m in range(2, n - 1)
-        )
-        rhs = closed_total(n, StatId(StatKind.SYM_VALLEY))
-        return IdentityResult(lhs, rhs)
-    if ident is IdentityId.HALF_CENTRAL:
-        return IdentityResult(_half(binomial(2 * n, n)), binomial(2 * n - 1, n))
-    if ident is IdentityId.WEIGHTED_CATALAN:
-        return IdentityResult(n * catalan(n), binomial(2 * n, n - 1))
-    raise ValueError(f"unknown identity {ident!r}")
+        return IdentityResult(*entry.sides(n))
+    if k is None or k not in entry.ks(n):
+        raise ValueError(f"{ident.value} needs 0 <= k <= (n-1)//2, got k={k}")
+    return IdentityResult(*entry.sides(n, k))

@@ -168,10 +168,7 @@ def _split_reverse(name, pattern, survivor, end, lowest, shift=0, **filters):
         forward=lambda mp: bij.split_reverse(mp, survivor),
         inverse=lambda q: bij.split_reverse_inverse(q, pattern, survivor),
         image=image,
-        marks=lambda p: [
-            MarkedPath(p, i, len(pattern))
-            for i in factor_occurrences(p, pattern, **filters)
-        ],
+        marks=lambda p: marked_set((p,), pattern, **filters),
         shift=shift,
     )
 
@@ -555,16 +552,12 @@ def verify_distributions(n_max: int = 10) -> VerifyReport:
 def verify_identities(n_max: int = 300) -> VerifyReport:
     rpt = VerifyReport("identities")
     start = time.perf_counter()
-    for ident in formulas.IdentityId:
-        floor = formulas.IDENTITY_FLOOR[ident]
-        for n in range(floor, n_max + 1):
-            if ident is formulas.IdentityId.BINOMIAL_PRODUCT_SUM:
-                for k in range((n - 1) // 2 + 1):
-                    res = formulas.identity_check(ident, n, k)
-                    rpt.check(f"{ident.value} n={n} k={k}", res.lhs, res.rhs)
-            else:
-                res = formulas.identity_check(ident, n)
-                rpt.check(f"{ident.value} n={n}", res.lhs, res.rhs)
+    for ident, entry in formulas.IDENTITIES.items():
+        for n in range(entry.floor, n_max + 1):
+            for k in entry.ks(n) if entry.ks else (None,):
+                res = formulas.identity_check(ident, n, k)
+                label = f"{ident.value} n={n}" + ("" if k is None else f" k={k}")
+                rpt.check(label, res.lhs, res.rhs)
     rpt.elapsed = time.perf_counter() - start
     return rpt
 

@@ -21,7 +21,12 @@ from catalan_lab import (
     narayana,
 )
 from catalan_lab import formulas
-from catalan_lab.formulas import IDENTITY_FLOOR, PASCAL_ROW_LIMIT, _diagonal_sum
+from catalan_lab.formulas import (
+    IDENTITIES,
+    IDENTITY_FLOOR,
+    PASCAL_ROW_LIMIT,
+    _diagonal_sum,
+)
 
 
 def pascal_oracle(rows):
@@ -303,6 +308,9 @@ class TestStrataCounts:
 
 
 class TestIdentities:
+    def test_table_lists_every_identity_in_order(self):
+        assert list(IDENTITIES) == list(IdentityId)
+
     def test_catalan_peak_sum_n4(self):
         res = identity_check(IdentityId.CATALAN_PEAK_SUM, 4)
         assert (res.lhs, res.rhs, res.holds) == (14, 14, True)

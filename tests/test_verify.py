@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from catalan_lab import catalan
+from catalan_lab.formulas import IDENTITIES, IdentityId
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
@@ -108,6 +110,24 @@ def test_identity_check_descriptions_are_pinned(monkeypatch):
     )
     assert report.cases_run == 122
     assert seen == pinned
+
+
+@pytest.mark.parametrize("ident", list(IdentityId))
+def test_broken_side_fails_only_its_identity(monkeypatch, ident):
+    entry = IDENTITIES[ident]
+
+    def off_by_one(*args):
+        lhs, rhs = entry.sides(*args)
+        return lhs, rhs + 1
+
+    monkeypatch.setitem(IDENTITIES, ident, replace(entry, sides=off_by_one))
+    report = verify_identities(10)
+    pinned = Path(__file__).parent / "data" / "identity_checks.json"
+    assert sorted(desc for desc, _, _ in report.failures) == [
+        desc
+        for desc in json.loads(pinned.read_text())
+        if desc.startswith(f"{ident.value} n=")
+    ]
 
 
 # the transport comparisons that read each FACTOR_COUNTS entry
