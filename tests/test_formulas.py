@@ -334,6 +334,50 @@ class TestIdentities:
         assert not res.holds
         assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 1)
 
+    def test_semi_perimeter_failure_in_short_form_only(self, monkeypatch):
+        from catalan_lab import formulas
+
+        # C(6, 2) one up and C(5, 2) one down: the long form still equals the
+        # lhs, the short form 2 C(2n, n-1) + C_n is two over it
+        shift = {(6, 2): 1, (5, 2): -1}
+        monkeypatch.setattr(
+            formulas, "binomial", lambda a, b: binomial(a, b) + shift.get((a, b), 0)
+        )
+        res = identity_check(IdentityId.SEMI_PERIMETER_SPLIT, 3)
+        assert not res.holds
+        assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 2)
+
+    def test_ddu_sum_adds_the_ddu_counts(self, monkeypatch):
+        from catalan_lab import formulas
+
+        # the two Catalan sums agree in value; only this one reads the counts
+        monkeypatch.setattr(formulas, "dyck_count_by_ddu", lambda n, k: 1)
+        assert identity_check(IdentityId.CATALAN_DDU_SUM, 7).rhs == 4
+        assert identity_check(IdentityId.CATALAN_PEAK_SUM, 7).holds
+
+    def test_sides_at_n7(self):
+        # both sides of each identity at n = 7 (k = 1), from math.comb and the
+        # enumeration oracle, so a table entry holding another identity's
+        # sides reads another value; the two Catalan sums agree at every n,
+        # and so do last-passage-sum and half-central
+        value = {
+            IdentityId.CATALAN_PEAK_SUM: math.comb(14, 7) // 8,
+            IdentityId.CATALAN_DDU_SUM: math.comb(14, 7) // 8,
+            IdentityId.SYM_VALLEY_SUM: 20 * math.comb(12, 6) // 7,
+            IdentityId.LAST_PASSAGE_SUM: math.comb(13, 7),
+            IdentityId.TERMINAL_PEAK_COUNT: math.comb(11, 5) - math.comb(11, 4),
+            IdentityId.DESCENT_RUN_SPLIT: math.comb(14, 7),
+            IdentityId.BINOMIAL_PRODUCT_SUM: 6 * 5 * 2**4,
+            IdentityId.SEMI_PERIMETER_SPLIT: math.comb(15, 7),
+            IdentityId.SYM_VALLEY_MARK_SUM: brute_total(7, StatId(StatKind.SYM_VALLEY)),
+            IdentityId.HALF_CENTRAL: math.comb(13, 7),
+            IdentityId.WEIGHTED_CATALAN: math.comb(14, 6),
+        }
+        for ident in IdentityId:
+            k = 1 if ident is IdentityId.BINOMIAL_PRODUCT_SUM else None
+            res = identity_check(ident, 7, k)
+            assert (res.lhs, res.rhs) == (value[ident], value[ident]), ident
+
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_holds_on_sample_range(self, ident):
         floor = IDENTITY_FLOOR[ident]
