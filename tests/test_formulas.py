@@ -335,8 +335,6 @@ class TestIdentities:
         assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 1)
 
     def test_semi_perimeter_failure_in_short_form_only(self, monkeypatch):
-        from catalan_lab import formulas
-
         # C(6, 2) one up and C(5, 2) one down: the long form still equals the
         # lhs, the short form 2 C(2n, n-1) + C_n is two over it
         shift = {(6, 2): 1, (5, 2): -1}
@@ -348,8 +346,6 @@ class TestIdentities:
         assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 2)
 
     def test_ddu_sum_adds_the_ddu_counts(self, monkeypatch):
-        from catalan_lab import formulas
-
         # the two Catalan sums agree in value; only this one reads the counts
         monkeypatch.setattr(formulas, "dyck_count_by_ddu", lambda n, k: 1)
         assert identity_check(IdentityId.CATALAN_DDU_SUM, 7).rhs == 4
