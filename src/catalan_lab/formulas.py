@@ -24,12 +24,16 @@ from .words import StatId, StatKind
 
 # Binomials up to this row come from a memoized Pascal triangle; larger
 # arguments fall back to math.comb. Identity sweeps to n=300 need row 602.
+# Each row keeps only its first half, C(m, i) for i <= m // 2: about 7 MB at
+# this limit. Beside it, binomial-product-sum memoizes C(m, k) * C(m-k, k),
+# each computed once; at most about 10 MB, once its top row reaches the limit.
 # Binomials along a diagonal, and their sums, never read the table past their
 # first term: _diagonal steps from term to term by the term ratio.
 PASCAL_ROW_LIMIT = 640
 
-_rows: list[list[int]] = [[1]]
-_rows_lock = threading.Lock()
+_rows: list[list[int]] = [[1]]  # _rows[m][i] = C(m, i) for i <= m // 2
+_columns: list[list[int]] = []  # _columns[k][m - 2k] = C(m, k) * C(m-k, k)
+_rows_lock = threading.Lock()  # held while _rows or _columns grows
 
 
 def _pascal_row(n: int) -> list[int]:
@@ -38,10 +42,9 @@ def _pascal_row(n: int) -> list[int]:
         with _rows_lock:
             while len(_rows) <= n:
                 prev = _rows[-1]
-                m = len(_rows)
-                row = [1] * (m + 1)
-                for i in range(1, m):
-                    row[i] = prev[i - 1] + prev[i]
+                row = [1, *map(operator.add, prev, prev[1:])]
+                if len(_rows) % 2 == 0:  # C(2h, h) = 2 C(2h-1, h-1)
+                    row.append(2 * prev[-1])
                 _rows.append(row)
     return _rows[n]
 
@@ -51,7 +54,7 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if n <= PASCAL_ROW_LIMIT:
-        return _pascal_row(n)[k]
+        return _pascal_row(n)[k if 2 * k <= n else n - k]
     return math.comb(n, k)
 
 
@@ -207,9 +210,14 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
     return totals
 
 
+def _ddu_ks(n: int) -> range:
+    """The k for which some Dyck path of length 2n has k DDU factors."""
+    return range((n - 1) // 2 + 1)
+
+
 def dyck_count_by_ddu(n: int, k: int) -> int:
     """Number of Dyck paths of length 2n with exactly k DDU factors."""
-    if n < 1 or k < 0 or k > (n - 1) // 2:
+    if k not in _ddu_ks(n):
         return 0
     return _exact_div(
         binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1), k + 1
@@ -218,7 +226,7 @@ def dyck_count_by_ddu(n: int, k: int) -> int:
 
 def dyck_count_by_ddu_udu(n: int, k: int, j: int) -> int:
     """Number of Dyck paths of length 2n with k DDU factors and j UDU factors."""
-    if n < 1 or k < 0 or k > (n - 1) // 2 or j < 0 or j > n - 2 * k - 1:
+    if k not in _ddu_ks(n) or j < 0 or j > n - 2 * k - 1:
         return 0
     return _exact_div(
         binomial(n - j - 1, k)
@@ -267,11 +275,6 @@ class Identity:
     ks: Callable[[int], range] | None = None
 
 
-def _ddu_ks(n: int) -> range:
-    """The k for which some Dyck path of length 2n has k DDU factors."""
-    return range((n - 1) // 2 + 1)
-
-
 def _pair_sum(hi: int) -> int:
     """Sum of C(2i, i-1) + C(2i-1, i) over 1 <= i < hi."""
     return sum(binomial(2 * i, i - 1) + binomial(2 * i - 1, i) for i in range(1, hi))
@@ -307,15 +310,31 @@ def _descent_run_split(n: int) -> tuple[int, int]:
     return binomial(2 * n, n), rhs
 
 
+def _product_column(k: int, top: int) -> list[int]:
+    """C(m, k) * C(m-k, k) for m = 2k, 2k+1, ..., up to top at least."""
+    if k >= len(_columns) or 2 * k + len(_columns[k]) <= top:
+        _pascal_row(top)  # before the lock: _pascal_row takes it too
+        # entries are appended fully built, under the lock, and never twice
+        with _rows_lock:
+            while len(_columns) <= k:
+                _columns.append([])
+            column = _columns[k]
+            for m in range(2 * k + len(column), top + 1):
+                column.append(_rows[m][k] * _rows[m - k][min(k, m - 2 * k)])
+    return _columns[k]
+
+
 def _binomial_product_sum(n: int, k: int) -> tuple[int, int]:
     # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
     # the Pascal rows. Stepping the terms by their own ratio instead would
     # compute the lhs with the rhs's algebra and check nothing.
     top = n - 1
     if top <= PASCAL_ROW_LIMIT:
-        _pascal_row(top)  # every row up to top is built
-        cols = [_rows[m][k] * _rows[m - k][k] for m in range(top, 2 * k - 1, -1)]
-        lhs = sum(map(operator.mul, cols, _rows[top]))
+        column, row, lo = _product_column(k, top), _pascal_row(top), 2 * k
+        # C(top, m) for m = 2k..top: the stored half from m = 2k on, then its
+        # mirror row[top - m] from m = max(2k, top // 2 + 1) on
+        mirror = islice(reversed(row), max(lo, top // 2 + 1) - (top + 1) // 2, None)
+        lhs = sum(map(operator.mul, column, chain(islice(row, lo, None), mirror)))
     else:
         lhs = sum(
             binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)

@@ -132,9 +132,18 @@ class TestBinomial:
             t.join()
         try:
             assert not errors, errors[:3]
-            assert all(len(row) == i + 1 for i, row in enumerate(formulas._rows))
+            assert all(len(row) == i // 2 + 1 for i, row in enumerate(formulas._rows))
         finally:
             formulas._rows[:] = saved
+
+    def test_both_halves_match_math_comb(self):
+        # the stored half, the middle of even rows and the mirrored half, on
+        # both sides of the table limit
+        sizes = [*range(81), PASCAL_ROW_LIMIT - 1, PASCAL_ROW_LIMIT, PASCAL_ROW_LIMIT + 1]
+        for n in sizes:
+            assert [binomial(n, k) for k in range(n + 1)] == [
+                math.comb(n, k) for k in range(n + 1)
+            ], n
 
 
 class TestCatalanNarayana:
@@ -345,6 +354,15 @@ class TestIdentities:
         assert not res.holds
         assert (res.lhs, res.rhs) == (binomial(7, 3), binomial(7, 3) + 2)
 
+    def test_pair_sum_read_by_its_two_identities(self, monkeypatch):
+        # last-passage-sum and half-central agree at every n; only the pair
+        # sum, read by last-passage-sum and sym-valley-sum, tells them apart
+        pair_sum = formulas._pair_sum
+        monkeypatch.setattr(formulas, "_pair_sum", lambda hi: pair_sum(hi) + 1)
+        assert not identity_check(IdentityId.LAST_PASSAGE_SUM, 5).holds
+        assert not identity_check(IdentityId.SYM_VALLEY_SUM, 5).holds
+        assert identity_check(IdentityId.HALF_CENTRAL, 5).holds
+
     def test_ddu_sum_adds_the_ddu_counts(self, monkeypatch):
         # the two Catalan sums agree in value; only this one reads the counts
         monkeypatch.setattr(formulas, "dyck_count_by_ddu", lambda n, k: 1)
@@ -404,6 +422,48 @@ class TestIdentities:
                 )
                 res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
                 assert res.lhs == literal, (n, k)
+
+    def test_concurrent_product_memo_growth(self):
+        import sys
+        import threading
+
+        sizes = range(1, 100)
+        expected = {
+            (n, k): math.comb(n - 1, k) * math.comb(n - k - 1, k) * 2 ** (n - 2 * k - 1)
+            for n in sizes
+            for k in range((n - 1) // 2 + 1)
+        }
+        saved = list(formulas._rows), list(formulas._columns)
+        formulas._rows[:], formulas._columns[:] = [[1]], []
+        errors = []
+
+        def worker(shift):
+            try:  # each thread starts the sweep at another n
+                for n in [*sizes[shift:], *sizes[:shift]]:
+                    for k in range((n - 1) // 2 + 1):
+                        res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
+                        if (res.lhs, res.rhs) != (expected[n, k],) * 2:
+                            errors.append((n, k))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(8 * t,)) for t in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors[:3]
+            assert all(
+                column == [comb0(m, k) * comb0(m - k, k) for m in range(2 * k, 98 + 1)]
+                for k, column in enumerate(formulas._columns)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            formulas._rows[:], formulas._columns[:] = saved
 
     @pytest.mark.parametrize("n", [PASCAL_ROW_LIMIT + 2, 1000])
     def test_binomial_product_lhs_past_the_table(self, n):
