@@ -20,7 +20,7 @@ D = -1
 
 _STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
-_STEP_TO_CHAR = {U: "U", D: "D"}
+_step_char = {U: "U", D: "D"}.__getitem__
 
 
 # Not functools.cached_property: before Python 3.12 it locks on every first read.
@@ -80,7 +80,7 @@ class Path:
         return min(accumulate(self.steps, initial=0))
 
     def __str__(self) -> str:
-        return "".join(map(_STEP_TO_CHAR.__getitem__, self.steps))
+        return "".join(map(_step_char, self.steps))
 
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
@@ -213,18 +213,28 @@ def factor_occurrences(
     if not pat:
         raise ValueError("pattern must be nonempty")
     try:
-        word = "".join(map(_STEP_TO_CHAR.__getitem__, pat))
+        word = "".join(map(_step_char, pat))
     except (KeyError, TypeError):  # a step other than U or D occurs nowhere
         return []
     text = str(p)
-    hits = []
-    i = text.find(word)
-    while i >= 0:
-        hits.append(i)
-        i = text.find(word, i + 1)
-    if min_end_height is not None:
-        profile, last = p.height_profile, len(word) - 1
-        hits = [i for i in hits if profile[i + last] >= min_end_height]
+    if min_end_height is not None and len(pat) == 1:
+        # a one-step pattern hits about every other step: one pass over the
+        # heights, not one str.find per hit
+        step, steps = pat[0], p.steps
+        hits = [
+            i
+            for i, h in enumerate(p.height_profile)
+            if h >= min_end_height and steps[i] == step
+        ]
+    else:
+        hits = []
+        i = text.find(word)
+        while i >= 0:
+            hits.append(i)
+            i = text.find(word, i + 1)
+        if min_end_height is not None:
+            profile, last = p.height_profile, len(word) - 1
+            hits = [i for i in hits if profile[i + last] >= min_end_height]
     if terminal is not None:
         # a hit is terminal when its first D, if any, is in the trailing D run
         first_d, tail = word.find("D"), len(text.rstrip("D"))
