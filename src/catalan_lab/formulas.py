@@ -54,6 +54,7 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if n <= PASCAL_ROW_LIMIT:
+        # min(k, n - k), written out: the min() call costs more on this path
         return _pascal_row(n)[k if 2 * k <= n else n - k]
     return math.comb(n, k)
 
@@ -211,7 +212,8 @@ def closed_totals(s: StatId, first: int, count: int) -> list[int]:
 
 
 def _ddu_ks(n: int) -> range:
-    """The k for which some Dyck path of length 2n has k DDU factors."""
+    """The k for which some Dyck path of length 2n has k DDU factors; empty
+    for n < 1."""
     return range((n - 1) // 2 + 1)
 
 

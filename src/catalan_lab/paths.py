@@ -217,9 +217,10 @@ def factor_occurrences(
     except (KeyError, TypeError):  # a step other than U or D occurs nowhere
         return []
     text = str(p)
-    if min_end_height is not None and len(pat) == 1:
-        # a one-step pattern hits about every other step: one pass over the
-        # heights, not one str.find per hit
+    # with a height filter, last is the offset of the pattern's final step;
+    # a one-step pattern hits about every other step, so it takes one pass
+    # over the heights rather than one str.find per hit
+    if min_end_height is not None and not (last := len(pat) - 1):
         step, steps = pat[0], p.steps
         hits = [
             i
@@ -233,7 +234,7 @@ def factor_occurrences(
             hits.append(i)
             i = text.find(word, i + 1)
         if min_end_height is not None:
-            profile, last = p.height_profile, len(word) - 1
+            profile = p.height_profile
             hits = [i for i in hits if profile[i + last] >= min_end_height]
     if terminal is not None:
         # a hit is terminal when its first D, if any, is in the trailing D run
