@@ -2,17 +2,12 @@
 
 Every map here either has an explicit inverse in this module or an image
 characterization that the verification suites check exhaustively at small
-sizes. The maps are pure; the random sampler owns only the random source
-handed to it.
+sizes. The maps are pure. The cycle lemma (``raney_shift``) and the uniform
+sampler built on it live in the paths module and are re-exported here.
 """
 
-import random
-import sys
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import indexOf
 
 from .paths import (
     D,
@@ -23,6 +18,8 @@ from .paths import (
     _require_dyck,
     ddu_udu_counts,
     is_dyck,
+    random_dyck_path,  # noqa: F401
+    raney_shift,  # noqa: F401
     units,
 )
 
@@ -206,25 +203,6 @@ def dyck_to_low_path(dp: Path) -> Path:
         out.append(U)
         out.extend(seg)
     return Path(tuple(out))
-
-
-def raney_shift(values: Sequence[int]) -> int:
-    """The unique 1-based cyclic shift giving all-positive partial sums.
-
-    Requires the values to sum to 1. The valid rotation starts right after
-    the last position achieving the minimal prefix sum.
-    """
-    vals = list(values)
-    if not vals:
-        raise ValueError("sequence must be nonempty")
-    total = sum(vals)
-    if total != 1:
-        raise ValueError(f"sequence must sum to 1, got {total}")
-    # The sum of the first j values is 1 minus the sum of the other len - j,
-    # so the last minimal prefix sum is the first maximal suffix sum, read
-    # from the right.
-    top = max(accumulate(reversed(vals)))
-    return len(vals) - indexOf(accumulate(reversed(vals)), top)
 
 
 @dataclass(frozen=True)
@@ -469,51 +447,3 @@ def last_passage_class(lam: Path) -> tuple[str, int | None]:
     if best is None:
         raise ValueError("path has no last passage and is not the sawtooth")
     return (best[1], best[0])
-
-
-def _shuffle(rng: random.Random, x: list) -> None:
-    """Shuffle ``x`` in place with exactly the draws of ``rng.shuffle(x)``.
-
-    Step i of ``random.Random.shuffle`` swaps x[i] with x[j], j drawn by
-    ``getrandbits(k)`` with k = (i + 1).bit_length() and drawn again while
-    j > i. On CPython 3.10-3.12, ``getrandbits(k)`` for k <= 32 is the top k
-    bits of one Mersenne Twister word, and ``getrandbits(32 * i)`` packs i
-    successive words, least significant first. Every step takes at least one
-    word, so a block of i words never draws past what ``shuffle`` would.
-    """
-    i = len(x) - 1
-    k = (i + 1).bit_length()
-    shift = 32 - k
-    low = (1 << k) // 2 - 1  # i + 1 keeps its bit length while i >= low
-    while i > 0:
-        words = array("I", rng.getrandbits(32 * i).to_bytes(4 * i, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        for w in words:
-            j = w >> shift
-            if j <= i:
-                x[i], x[j] = x[j], x[i]
-                i -= 1
-                if i < low:
-                    shift += 1
-                    low >>= 1
-
-
-def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
-    """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
-
-    Shuffles n down and n + 1 up steps, finds the unique rotation with
-    all-positive partial sums, and drops its forced leading up step. Every
-    Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
-    without rejection. The only generator method called is
-    ``rng.getrandbits``, in blocks, and the words drawn and the state left
-    behind are those of ``rng.shuffle`` on the arrangement.
-    """
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    if rng is None:
-        rng = random.Random()
-    arrangement = [D] * n + [U] * (n + 1)
-    _shuffle(rng, arrangement)
-    r = raney_shift(arrangement)
-    return Path(tuple(arrangement[r:] + arrangement[: r - 1]))

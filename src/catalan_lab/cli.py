@@ -6,24 +6,22 @@ limit error. Output is deterministic; the sampler requires an explicit
 seed and is then deterministic too. The table commands share one row
 writer. ``main`` lifts the int/str conversion digit limit, which b-file
 terms outgrow, for the CLI process only; importing the library does not.
+A command imports the modules only it uses (the suites, b-files, json and
+csv) when it runs, so that each process loads only what its command needs.
 """
 
 import argparse
-import csv
 import functools
-import json
 import os
 import random
 import sys
 from collections.abc import Callable, Iterable
 from operator import itemgetter
+from types import SimpleNamespace
 
-from . import oeis as oeis_files
-from .bijections import random_dyck_path
 from .formulas import closed_total, narayana
-from .limits import EnumerationLimitError
-from .paths import enumerate_dyck
-from .verify import SUITE_CAPS, run_suite
+from .limits import SUITE_CAPS, EnumerationLimitError
+from .paths import enumerate_dyck, random_dyck_path
 from .words import (
     ADJACENCY_INCREMENTS,
     StatId,
@@ -42,6 +40,10 @@ EXIT_USAGE = 2
 DEFAULT_STATS = [StatId(kind) for kind in StatKind]
 
 _PARALLEL_DEPTH = 4
+
+# Output is written in batches of about this many characters: one write per
+# row costs a system call per row when standard output is unbuffered.
+WRITE_CHARS = 1 << 16
 
 
 def _parse_stats(text: str) -> list[StatId]:
@@ -78,23 +80,42 @@ def _write_rows(
 
     csv writes ``header`` first, lowercases booleans and spreads a dict-valued
     cell over its own columns; json keeps such a cell nested; plain writes
-    ``plain(row)``. ``rows`` may be a generator, so output streams.
+    ``plain(row)``. ``rows`` may be a generator, so output streams, in
+    batches of at most ``WRITE_CHARS`` characters plus one row.
     """
-    out = sys.stdout
     if fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            cells = []
-            for v in row.values():
-                cells += v.values() if isinstance(v, dict) else [v]
-            writer.writerow([str(c).lower() if type(c) is bool else c for c in cells])
+        lines = _csv_lines(header, rows)
     elif fmt == "json":
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
+        import json
+
+        lines = map("{}\n".format, map(json.dumps, rows))
     else:
-        for row in rows:
-            out.write(plain(row) + "\n")
+        lines = map("{}\n".format, map(plain, rows))
+    out = sys.stdout
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line)
+        if size >= WRITE_CHARS:
+            out.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        out.write("".join(batch))
+
+
+def _csv_lines(header: list[str], rows: Iterable[dict]) -> Iterable[str]:
+    import csv
+
+    written = []
+    writer = csv.writer(SimpleNamespace(write=written.append))
+    writer.writerow(header)
+    yield written.pop()
+    for row in rows:
+        cells = []
+        for v in row.values():
+            cells += v.values() if isinstance(v, dict) else [v]
+        writer.writerow([str(c).lower() if type(c) is bool else c for c in cells])
+        yield written.pop()
 
 
 def cmd_enumerate(args) -> int:
@@ -152,6 +173,8 @@ def cmd_totals(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     reports = run_suite(args.suite, args.n_max)
     ok = True
     for report in reports:
@@ -162,6 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oeis(args) -> int:
+    from . import oeis as oeis_files
+
     offset = 1 if args.offset is None else args.offset
     first_n = 1 if args.first_n is None else args.first_n
     if args.id:

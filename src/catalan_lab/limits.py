@@ -4,7 +4,8 @@ Exhaustive enumeration grows like the Catalan numbers, so every enumerator
 refuses sizes above a configurable ceiling instead of silently grinding.
 Precedence: explicit ``max_n`` argument (CLI flag) > the ``CATALAN_LAB_MAX_N``
 environment variable > the built-in default. Counts that enumerate nothing
-are bounded by the fixed ``COUNT_MAX_N`` instead.
+are bounded by the fixed ``COUNT_MAX_N`` instead, and each verification
+suite by its entry in ``SUITE_CAPS``.
 """
 
 import os
@@ -15,6 +16,15 @@ ENV_VAR = "CATALAN_LAB_MAX_N"
 # Counts that enumerate nothing (words.count_histogram) cost a polynomial in n
 # and ignore the ceiling; this fixed cap keeps one call to a few seconds.
 COUNT_MAX_N = 400
+
+# The largest n_max of each verification suite; the cli's --suite and --n-max
+# options read it without importing the suites.
+SUITE_CAPS = {
+    "bijections": 8,
+    "transport": 9,
+    "distributions": 10,
+    "identities": 300,
+}
 
 
 class EnumerationLimitError(Exception):

@@ -5,13 +5,17 @@ stored as a tuple of ``+1`` / ``-1``. Dyck paths are the paths that end on
 the x-axis and never go below it. The module provides ordered enumeration
 (lexicographic with U before D), the reverse-complement involution, factor
 occurrence counting with the height and terminality filters needed for
-marked-path sets, unit decomposition, and the (ddu, udu) factor profile.
+marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
+cycle lemma and the uniform Dyck sampler built on it.
 """
 
+import random
+import sys
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import neg
+from operator import indexOf, neg
 
 from .limits import check_ceiling
 
@@ -280,3 +284,70 @@ def ddu_udu_counts(p: Path) -> tuple[int, int]:
     """Occurrence counts (k, j) of the factors DDU and UDU in a Dyck path."""
     _require_dyck(p)
     return count_factor(p, (D, D, U)), count_factor(p, (U, D, U))
+
+
+def raney_shift(values: Sequence[int]) -> int:
+    """The unique 1-based cyclic shift giving all-positive partial sums.
+
+    Requires the values to sum to 1. The valid rotation starts right after
+    the last position achieving the minimal prefix sum.
+    """
+    vals = list(values)
+    if not vals:
+        raise ValueError("sequence must be nonempty")
+    total = sum(vals)
+    if total != 1:
+        raise ValueError(f"sequence must sum to 1, got {total}")
+    # The sum of the first j values is 1 minus the sum of the other len - j,
+    # so the last minimal prefix sum is the first maximal suffix sum, read
+    # from the right.
+    top = max(accumulate(reversed(vals)))
+    return len(vals) - indexOf(accumulate(reversed(vals)), top)
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place with exactly the draws of ``rng.shuffle(x)``.
+
+    Step i of ``random.Random.shuffle`` swaps x[i] with x[j], j drawn by
+    ``getrandbits(k)`` with k = (i + 1).bit_length() and drawn again while
+    j > i. On CPython 3.10-3.12, ``getrandbits(k)`` for k <= 32 is the top k
+    bits of one Mersenne Twister word, and ``getrandbits(32 * i)`` packs i
+    successive words, least significant first. Every step takes at least one
+    word, so a block of i words never draws past what ``shuffle`` would.
+    """
+    i = len(x) - 1
+    k = (i + 1).bit_length()
+    shift = 32 - k
+    low = (1 << k) // 2 - 1  # i + 1 keeps its bit length while i >= low
+    while i > 0:
+        words = array("I", rng.getrandbits(32 * i).to_bytes(4 * i, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for w in words:
+            j = w >> shift
+            if j <= i:
+                x[i], x[j] = x[j], x[i]
+                i -= 1
+                if i < low:
+                    shift += 1
+                    low >>= 1
+
+
+def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
+    """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
+
+    Shuffles n down and n + 1 up steps, finds the unique rotation with
+    all-positive partial sums, and drops its forced leading up step. Every
+    Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
+    without rejection. The only generator method called is
+    ``rng.getrandbits``, in blocks, and the words drawn and the state left
+    behind are those of ``rng.shuffle`` on the arrangement.
+    """
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    if rng is None:
+        rng = random.Random()
+    arrangement = [D] * n + [U] * (n + 1)
+    _shuffle(rng, arrangement)
+    r = raney_shift(arrangement)
+    return Path(tuple(arrangement[r:] + arrangement[: r - 1]))

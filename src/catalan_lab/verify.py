@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import bijections as bij
 from . import formulas
+from .limits import SUITE_CAPS
 from .paths import (
     D,
     U,
@@ -41,13 +42,6 @@ from .words import (
     stat_value,
     word_to_path,
 )
-
-SUITE_CAPS = {
-    "bijections": 8,
-    "transport": 9,
-    "distributions": 10,
-    "identities": 300,
-}
 
 
 @dataclass

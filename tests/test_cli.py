@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 from catalan_lab import StatKind, closed_total, narayana
-from catalan_lab.cli import main
+from catalan_lab.cli import WRITE_CHARS, main
 from catalan_lab.limits import COUNT_MAX_N
 from catalan_lab.oeis import (
     BUILTIN_BINDINGS,
@@ -540,6 +542,48 @@ class TestModuleEntryPoint:
         )
         assert code == 2
         assert "max_n must be nonnegative, got -5" in err
+
+
+
+class CountingStdout(io.StringIO):
+    """A standard output that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class TestBatchedWrites:
+    # size and sha256 of `enumerate --kind paths --n 10` (16,796 rows) as
+    # written before the rows were batched, one write per row
+    ROW_BY_ROW = {
+        "plain": (352716, "6319d0b590ce2932d00776c059938c9643d4dccb2397e573cf8f1fa1801adca7"),
+        "csv": (459191, "174367e2a102e56e21be4667a3346cc4538a9c4cdd7b68bde9f6e994085b4e32"),
+        "json": (828690, "08e7409df6ccc107b40825d0e4c6f990b1b6414ccaaea090071b33f22372e9ea"),
+    }
+
+    @pytest.mark.parametrize("fmt", ROW_BY_ROW)
+    def test_many_rows_few_writes_same_bytes(self, fmt, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["enumerate", "--kind", "paths", "--n", "10", "--format", fmt])
+        data = out.getvalue().encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.ROW_BY_ROW[fmt]
+        assert len(out.sizes) <= math.ceil(len(data) / WRITE_CHARS) + 1
+
+    def test_long_rows_keep_writes_bounded(self, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["sample", "--n", "20000", "--count", "8", "--seed", "3"])
+        row = 2 * 20000 + 1
+        assert code == 0
+        assert sum(out.sizes) == 8 * row
+        assert 1 < len(out.sizes) and max(out.sizes) < WRITE_CHARS + row
 
 
 class TestSample:

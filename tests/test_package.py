@@ -1,6 +1,10 @@
-"""The public surface of the catalan_lab package."""
+"""The public surface of the catalan_lab package, and the modules each
+command line process loads."""
 
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +75,56 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(catalan_lab, "no_such_name")
     with pytest.raises(ImportError):
         from catalan_lab import no_such_name  # noqa: F401
+
+
+# Runs build_parser() and main(ARGV) in a fresh interpreter, then reports
+# main's exit code and the catalan_lab modules loaded, on standard error.
+LOADED_BY_COMMAND = """
+import json, sys
+from catalan_lab.cli import build_parser, main
+build_parser()
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("catalan_lab"))
+sys.stderr.write(json.dumps([code, loaded]))
+"""
+CORE = ["catalan_lab", "catalan_lab.cli", "catalan_lab.formulas",
+        "catalan_lab.limits", "catalan_lab.paths", "catalan_lab.words"]
+
+
+def loaded_by(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_COMMAND, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    return json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("totals", "--n-max", "1"),
+        ("totals", "--n-max", "3", "--format", "json"),
+        ("distribution", "--stat", "area", "--n", "4", "--format", "csv"),
+        ("distribution", "--stat", "runs-asc", "--n", "5"),
+        ("sample", "--n", "5", "--count", "2", "--seed", "1"),
+        ("enumerate", "--kind", "paths", "--n", "3"),
+        ("enumerate", "--kind", "words", "--n", "3", "--stats", "all", "--format", "csv"),
+    ],
+    ids=" ".join,
+)
+def test_command_loads_only_the_core(argv):
+    code, loaded = loaded_by(*argv)
+    assert code == 0
+    assert loaded == CORE
+
+
+def test_verify_loads_the_suites_when_it_runs():
+    code, loaded = loaded_by("verify", "--suite", "identities", "--n-max", "3")
+    assert code == 0
+    assert {"catalan_lab.verify", "catalan_lab.bijections"} <= set(loaded)
+
+
+def test_oeis_loads_the_bfile_module_when_it_runs():
+    code, loaded = loaded_by("oeis", "A000346", "--terms", "3")
+    assert code == 0
+    assert "catalan_lab.oeis" in loaded and "catalan_lab.verify" not in loaded
