@@ -6,8 +6,8 @@ limit error. Output is deterministic; the sampler requires an explicit
 seed and is then deterministic too. The table commands share one row
 writer. ``main`` lifts the int/str conversion digit limit, which b-file
 terms outgrow, for the CLI process only; importing the library does not.
-A command imports the modules only it uses (the suites, b-files, json and
-csv) when it runs, so that each process loads only what its command needs.
+What only one command or format uses (the suites, b-files, json, csv) is
+imported when it runs, so that a process loads only what its command needs.
 """
 
 import argparse

@@ -6,7 +6,8 @@ the x-axis and never go below it. The module provides ordered enumeration
 (lexicographic with U before D), the reverse-complement involution, factor
 occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
-cycle lemma and the uniform Dyck sampler built on it.
+cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
+the random source handed to it.
 """
 
 import random
