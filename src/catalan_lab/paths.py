@@ -7,7 +7,9 @@ the x-axis and never go below it. The module provides ordered enumeration
 occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
 cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
-the random source handed to it.
+the random source handed to it. The enumerators and the sampler build their
+paths from the ``U`` and ``D`` constants and skip the step check, which
+``Path(...)`` still makes on every other input.
 """
 
 import random
@@ -15,7 +17,8 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, product
 from operator import indexOf, neg
 
 from .limits import check_ceiling
@@ -26,6 +29,7 @@ D = -1
 _STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
 _step_char = {U: "U", D: "D"}.__getitem__
+_BLOCK = 8  # steps per block of the enumeration tables
 
 
 # Not functools.cached_property: before Python 3.12 it locks on every first read.
@@ -84,8 +88,12 @@ class Path:
         """Minimum over all prefix heights, including the starting 0."""
         return min(accumulate(self.steps, initial=0))
 
-    def __str__(self) -> str:
+    @_cached
+    def _text(self) -> str:
         return "".join(map(_step_char, self.steps))
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
@@ -152,31 +160,49 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
     """Yield, lexicographically (U < D), the paths of ``ups`` U and ``downs`` D
     steps that never go below ``floor``, which is at most the final height.
 
-    The successor turns the rightmost U with a D after it and a height above
-    ``floor`` before it into a D, then adds all remaining U, then all D.
+    The path is cut into blocks of ``_BLOCK`` steps, the last one possibly
+    shorter, and counted through like an odometer. The blocks that may
+    follow a prefix depend only on the U and D steps it leaves, so each list
+    of them is built once per call, with its text, and every path is one
+    tuple and one string concatenation.
     """
-    smallest = [U] * ups + [D] * downs
-    steps = smallest[:]
-    length = ups + downs
-    while True:
-        yield Path(tuple(steps))
-        height = ups - downs  # before step i, scanning from the right
-        tail_downs = 0
-        i = length
-        while i:
-            i -= 1
-            if steps[i] == D:
-                tail_downs += 1
-                height += 1
-            else:
-                height -= 1
-                if tail_downs and height > floor:
-                    break
+
+    @cache
+    def candidates(size):
+        """Every block of ``size`` steps, in order, with its text, U count and
+        lowest prefix sum."""
+        return [
+            (s, "".join(map(_step_char, s)), s.count(U), min(accumulate(s, initial=0)))
+            for s in product((U, D), repeat=size)
+        ]
+
+    @cache
+    def blocks(u, d):
+        """The blocks after a prefix leaving ``u`` U and ``d`` D steps, in
+        order, each with its text and the U and D steps left after it."""
+        height = ups - u - downs + d
+        size = min(_BLOCK, u + d)
+        return [
+            (steps, text, u - x, d - size + x)
+            for steps, text, x, low in candidates(size)
+            if x <= u and size - x <= d and height + low >= floor
+        ]
+
+    new = object.__new__
+    stack = [(iter(blocks(ups, downs)), (), "")]
+    while stack:
+        entries, head, head_text = stack[-1]
+        for steps, text, u, d in entries:
+            steps, text = head + steps, head_text + text
+            if u + d > _BLOCK:
+                stack.append((iter(blocks(u, d)), steps, text))
+                break
+            for tail, tail_text, _, _ in blocks(u, d):
+                p = new(Path)
+                p.__dict__.update(steps=steps + tail, _text=text + tail_text)
+                yield p
         else:
-            return
-        steps[i] = D
-        tail_ups = length - i - tail_downs
-        steps[i + 1 :] = smallest[ups - tail_ups : ups + tail_downs - 1]
+            stack.pop()
 
 
 def enumerate_dyck(n: int, *, max_n: int | None = None) -> Iterator[Path]:
@@ -351,4 +377,6 @@ def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     arrangement = [D] * n + [U] * (n + 1)
     _shuffle(rng, arrangement)
     r = raney_shift(arrangement)
-    return Path(tuple(arrangement[r:] + arrangement[: r - 1]))
+    p = object.__new__(Path)  # the steps are U and D constants: skip the check
+    p.__dict__.update(steps=tuple(arrangement[r:] + arrangement[: r - 1]))
+    return p

@@ -576,6 +576,19 @@ class TestBatchedWrites:
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.ROW_BY_ROW[fmt]
         assert len(out.sizes) <= math.ceil(len(data) / WRITE_CHARS) + 1
 
+    def test_paths_n11_bytes_pinned(self, monkeypatch):
+        # 22 steps: two full blocks of the enumerator and a partial one;
+        # size and sha256 as printed by the successor-rule enumerator
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["enumerate", "--kind", "paths", "--n", "11"])
+        data = out.getvalue().encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            1352078,
+            "dfba36bc75f1eb70f53bcba42cea451a3c4228ad926450da114095fd86d6f264",
+        )
+
     def test_long_rows_keep_writes_bounded(self, monkeypatch):
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)

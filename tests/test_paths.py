@@ -1,5 +1,9 @@
+import gc
 import itertools
 import pickle
+import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -17,6 +21,7 @@ from catalan_lab import (
     enumerate_lattice,
     factor_occurrences,
     is_dyck,
+    random_dyck_path,
     reverse_complement,
     units,
 )
@@ -27,6 +32,10 @@ P = Path.from_string
 def all_step_strings(length):
     for steps in itertools.product((U, D), repeat=length):
         yield Path(steps)
+
+
+def lex_key(steps):
+    return tuple(0 if s == U else 1 for s in steps)
 
 
 def naive_occurrences(p, pattern):
@@ -238,6 +247,107 @@ class TestEnumerateLattice:
         with pytest.raises(EnumerationLimitError):
             next(enumerate_lattice(34, 0))
         assert sum(1 for _ in enumerate_lattice(8, 0, max_n=4)) == 70
+
+
+class TestBlockEnumeration:
+    """The enumerator walks blocks of eight steps; these cases cross them."""
+
+    def test_exact_order_a13_to_a16(self):
+        for a in range(13, 17):
+            by_end = {}
+            for steps in itertools.product((U, D), repeat=a):
+                by_end.setdefault(sum(steps), []).append(steps)
+            for b in range(-a, a + 1, 2):
+                expected = sorted(by_end[b], key=lex_key)
+                got = [p.steps for p in enumerate_lattice(a, b)]
+                assert got == expected, (a, b)
+
+    def test_first_path_streams_at_n3000(self):
+        start = time.perf_counter()
+        first = next(enumerate_dyck(3000, max_n=3000))
+        elapsed = time.perf_counter() - start
+        assert first.steps == (U,) * 3000 + (D,) * 3000
+        assert str(first) == "U" * 3000 + "D" * 3000
+        assert elapsed < 1.0
+
+    def test_interleaved_calls_keep_their_own_tables(self):
+        dyck = sorted(
+            (p.steps for p in all_step_strings(14) if is_dyck(p)), key=lex_key
+        )
+        lattice = sorted(
+            (p.steps for p in all_step_strings(9) if p.final_height == 1),
+            key=lex_key,
+        )
+        got_dyck, got_lattice = [], []
+        pairs = itertools.zip_longest(enumerate_dyck(7), enumerate_lattice(9, 1))
+        for p, q in pairs:
+            if p is not None:
+                got_dyck.append(p.steps)
+            if q is not None:
+                got_lattice.append(q.steps)
+        assert got_dyck == dyck
+        assert got_lattice == lattice
+
+    def test_memory_flat_and_freed(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            paths = enumerate_dyck(10)
+            for _ in paths:
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # the 16,796 paths held at once would take about 9 MB
+        assert peak < 2_000_000
+        assert left < 20_000
+
+
+class TestUncheckedPaths:
+    """Generated paths skip the step check; outside input still gets it."""
+
+    def test_outside_input_still_checked(self):
+        with pytest.raises(ValueError) as raised:
+            Path((1, 0))
+        assert str(raised.value) == "steps must be +1 (U) or -1 (D), got 0"
+
+    def test_text_from_string(self):
+        assert str(P("uDd")) == "UDD"
+        assert repr(P("uDd")) == "Path('UDD')"
+
+    @staticmethod
+    def assert_like_checked(p):
+        checked = Path(p.steps)
+        assert p == checked and hash(p) == hash(checked)
+        assert str(p) == "".join("U" if s == U else "D" for s in p.steps)
+        assert str(p) == str(checked)
+        assert p.height_profile == tuple(itertools.accumulate(p.steps))
+
+    def test_enumerated_paths_match_checked(self):
+        for n in range(8):
+            for p in enumerate_dyck(n):
+                self.assert_like_checked(p)
+        for a in range(8):
+            for b in range(-a, a + 1, 2):
+                for p in enumerate_lattice(a, b):
+                    self.assert_like_checked(p)
+
+    def test_sampled_paths_match_checked(self):
+        rng = random.Random(11)
+        for n in [*range(20), 200, 1000]:
+            self.assert_like_checked(random_dyck_path(n, rng))
+
+    def test_pickle_round_trip(self):
+        for p in enumerate_dyck(5):
+            copy = pickle.loads(pickle.dumps(p))
+            assert copy == p and hash(copy) == hash(p)
+            assert str(copy) == str(p) and repr(copy) == repr(p)
+        sampled = random_dyck_path(30, random.Random(4))
+        copy = pickle.loads(pickle.dumps(sampled))
+        assert copy == sampled and str(copy) == str(sampled)
 
 
 class TestReverseComplement:
