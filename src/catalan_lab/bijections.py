@@ -4,18 +4,22 @@ Every map here either has an explicit inverse in this module or an image
 characterization that the verification suites check exhaustively at small
 sizes. The maps are pure. The cycle lemma (``raney_shift``) and the uniform
 sampler built on it live in the paths module and are re-exported here.
+Every step of an image comes from a checked path or from the ``U`` and ``D``
+constants, so the maps build their paths without the step check; the
+caller's pattern in ``split_reverse_inverse`` still gets it.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .paths import (
     D,
     U,
     MarkedPath,
     Path,
+    _Value,
     _rc,
     _require_dyck,
+    _unchecked_path,
     ddu_udu_counts,
     is_dyck,
     random_dyck_path,  # noqa: F401
@@ -35,7 +39,7 @@ def reflect_after_touch(p: Path, level: int) -> Path:
         touch = 0 if level == 0 else p.height_profile.index(level) + 1
     except ValueError:
         raise ValueError(f"path never touches level {level}") from None
-    return Path(p.steps[:touch] + tuple(-s for s in p.steps[touch:]))
+    return _unchecked_path(p.steps[:touch] + tuple(-s for s in p.steps[touch:]))
 
 
 def split_reverse(mp: MarkedPath, survivor: int) -> Path:
@@ -51,7 +55,7 @@ def split_reverse(mp: MarkedPath, survivor: int) -> Path:
     steps = mp.path.steps
     pre = steps[: mp.mark_start]
     post = steps[mp.mark_start + mp.mark_len :]
-    return Path(_rc(pre) + (survivor,) + _rc(post))
+    return _unchecked_path(_rc(pre) + (survivor,) + _rc(post))
 
 
 def split_reverse_inverse(
@@ -96,7 +100,7 @@ def lift_marked_unit(dp: Path, unit_index: int) -> Path:
     if not 1 <= unit_index <= len(spans):
         raise ValueError(f"unit_index {unit_index} out of range 1..{len(spans)}")
     start = spans[unit_index - 1][0]
-    return Path((U,) + dp.steps[:start] + (D,) + dp.steps[start:])
+    return _unchecked_path((U,) + dp.steps[:start] + (D,) + dp.steps[start:])
 
 
 def drop_marked_unit(p: Path) -> tuple[Path, int]:
@@ -107,8 +111,8 @@ def drop_marked_unit(p: Path) -> tuple[Path, int]:
     s0, e0 = spans[0]
     head = p.steps[s0 + 1 : e0 - 1]
     rest = p.steps[e0:]
-    unit_index = len(units(Path(head))) + 1
-    return Path(head + rest), unit_index
+    unit_index = len(units(_unchecked_path(head))) + 1
+    return _unchecked_path(head + rest), unit_index
 
 
 def sym_valley_pattern(ell: int) -> tuple[int, ...]:
@@ -134,7 +138,7 @@ def sym_valley_insert(mp: MarkedPath, ell: int) -> MarkedPath:
         raise ValueError("marked up step must end at height two or more")
     inserted = (D,) + (D, U) * ell + (U,)
     steps = mp.path.steps[: i + 1] + inserted + mp.path.steps[i + 1 :]
-    return MarkedPath(Path(steps), i, 2 * ell + 3)
+    return MarkedPath(_unchecked_path(steps), i, 2 * ell + 3)
 
 
 def sym_valley_remove(mp: MarkedPath) -> tuple[MarkedPath, int]:
@@ -146,7 +150,7 @@ def sym_valley_remove(mp: MarkedPath) -> tuple[MarkedPath, int]:
         raise ValueError("marked factor is not U D (D U)^ell U")
     i = mp.mark_start
     steps = mp.path.steps[: i + 1] + mp.path.steps[i + mp.mark_len :]
-    out = MarkedPath(Path(steps), i, 1)
+    out = MarkedPath(_unchecked_path(steps), i, 1)
     if out.path.height_profile[i] < 2:
         raise ValueError("underlying marked up step has height below two")
     return out, ell
@@ -165,7 +169,7 @@ def low_path_to_dyck(p: Path) -> Path:
     if p.min_height < -1:
         raise ValueError("path dips below level -1")
     if p.min_height >= 0:
-        return Path((U,) + p.steps + (D,))
+        return _unchecked_path((U,) + p.steps + (D,))
     segments: list[tuple[int, ...]] = []
     cur: list[int] = []
     h = 0
@@ -185,7 +189,7 @@ def low_path_to_dyck(p: Path) -> Path:
         out.append(U)
         out.extend(seg)
         out.append(D)
-    return Path(tuple(out))
+    return _unchecked_path(tuple(out))
 
 
 def dyck_to_low_path(dp: Path) -> Path:
@@ -196,17 +200,16 @@ def dyck_to_low_path(dp: Path) -> Path:
     spans = units(dp)
     interiors = [dp.steps[s + 1 : e - 1] for s, e in spans]
     if len(spans) == 1:
-        return Path(interiors[0])
+        return _unchecked_path(interiors[0])
     out = list(interiors[0])
     for seg in interiors[1:]:
         out.append(D)
         out.append(U)
         out.extend(seg)
-    return Path(tuple(out))
+    return _unchecked_path(tuple(out))
 
 
-@dataclass(frozen=True)
-class PeakVector:
+class PeakVector(_Value):
     """Run-length pairs (a_i, b_i) describing a Dyck path with no UDU factor.
 
     The path is the concatenation of blocks U^(a_i + 1) D^(b_i + 1). All
@@ -214,14 +217,14 @@ class PeakVector:
     at least as many up-run steps as down-run steps.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __match_args__ = ("pairs",)
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        if not pairs:
             raise ValueError("a peak vector has at least one pair")
         a_sum = b_sum = 0
-        for idx, (a, b) in enumerate(self.pairs):
-            last = idx == len(self.pairs) - 1
+        for idx, (a, b) in enumerate(pairs):
+            last = idx == len(pairs) - 1
             if a < 0 or b < 0:
                 raise ValueError(f"negative run length in pair {idx}: {(a, b)}")
             if not last and b < 1:
@@ -232,6 +235,7 @@ class PeakVector:
                 raise ValueError("prefix down runs exceed up runs")
         if a_sum != b_sum:
             raise ValueError(f"unbalanced run sums {a_sum} != {b_sum}")
+        self._set("pairs", pairs)
 
     @property
     def k(self) -> int:
@@ -275,7 +279,7 @@ def peak_rebuild(pv: PeakVector) -> Path:
     for a, b in pv.pairs:
         out.extend([U] * (a + 1))
         out.extend([D] * (b + 1))
-    return Path(tuple(out))
+    return _unchecked_path(tuple(out))
 
 
 def peak_vector_from_slots(slots: Sequence[tuple[int, int]]) -> PeakVector:
@@ -323,7 +327,7 @@ def insert_ud(precursor: Path, positions: Sequence[int]) -> Path:
             out.extend((U, D) * counts.get(seen, 0))
             seen += 1
         out.append(s)
-    return Path(tuple(out))
+    return _unchecked_path(tuple(out))
 
 
 def remove_ud(p: Path) -> tuple[Path, tuple[int, ...]]:
@@ -347,30 +351,30 @@ def remove_ud(p: Path) -> tuple[Path, tuple[int, ...]]:
             break
         positions.append(sum(1 for s in steps[:target] if s == U))
         del steps[target : target + 2]
-    return Path(tuple(steps)), tuple(sorted(positions))
+    return _unchecked_path(tuple(steps)), tuple(sorted(positions))
 
 
-@dataclass(frozen=True)
-class AreaMark:
+class AreaMark(_Value):
     """A Dyck path with one marked up step and a choice below its height.
 
     ``up_index`` points at an up step ending at some height m; ``j`` ranges
     over 0..m-1. Counting all such triples totals the up-step heights.
     """
 
-    path: Path
-    up_index: int
-    j: int
+    __match_args__ = ("path", "up_index", "j")
 
-    def __post_init__(self):
-        if not is_dyck(self.path):
+    def __init__(self, path: Path, up_index: int, j: int):
+        if not is_dyck(path):
             raise ValueError("area marks live on Dyck paths")
-        if not 0 <= self.up_index < self.path.length:
-            raise ValueError(f"up_index {self.up_index} out of range")
-        if self.path.steps[self.up_index] != U:
-            raise ValueError(f"step {self.up_index} is not an up step")
-        if not 0 <= self.j <= self.height - 1:
-            raise ValueError(f"need 0 <= j <= {self.height - 1}, got j={self.j}")
+        if not 0 <= up_index < path.length:
+            raise ValueError(f"up_index {up_index} out of range")
+        if path.steps[up_index] != U:
+            raise ValueError(f"step {up_index} is not an up step")
+        self._set("path", path)
+        self._set("up_index", up_index)
+        if not 0 <= j <= self.height - 1:
+            raise ValueError(f"need 0 <= j <= {self.height - 1}, got j={j}")
+        self._set("j", j)
 
     @property
     def height(self) -> int:
@@ -389,7 +393,9 @@ def area_mark_encode(am: AreaMark) -> Path:
     """
     steps, u = am.path.steps, am.up_index
     s = am.path.height_profile.index(am.height - am.j - 1, u + 1)
-    return Path(steps[u + 1 : s] + (D,) + _rc(steps[:u]) + (D,) + _rc(steps[s + 1 :]))
+    return _unchecked_path(
+        steps[u + 1 : s] + (D,) + _rc(steps[:u]) + (D,) + _rc(steps[s + 1 :])
+    )
 
 
 def area_mark_decode(image: Path) -> AreaMark:
@@ -417,7 +423,7 @@ def area_mark_decode(image: Path) -> AreaMark:
     head = _rc(image.steps[a : b - 1])
     chained = image.steps[: a - 1]
     tail = _rc(image.steps[b:])
-    reconstructed = Path(head + (U,) + chained + (D,) + tail)
+    reconstructed = _unchecked_path(head + (U,) + chained + (D,) + tail)
     am = AreaMark(reconstructed, len(head), j)
     if am.height != m:
         raise ValueError("reconstructed mark height mismatch")

@@ -74,14 +74,15 @@ def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
 
 
 def _write_rows(
-    fmt: str, header: list[str], rows: Iterable[dict], plain: Callable[[dict], str]
+    fmt: str, header: list[str], rows: Iterable, plain: Callable[..., str]
 ) -> None:
     """Print dict rows as csv, as one JSON object per line, or as plain text.
 
     csv writes ``header`` first, lowercases booleans and spreads a dict-valued
     cell over its own columns; json keeps such a cell nested; plain writes
-    ``plain(row)``. ``rows`` may be a generator, so output streams, in
-    batches of at most ``WRITE_CHARS`` characters plus one row.
+    ``plain(row)``, and its rows need not be dicts. ``rows`` may be a
+    generator, so output streams, in batches of at most ``WRITE_CHARS``
+    characters plus one row.
     """
     if fmt == "csv":
         lines = _csv_lines(header, rows)
@@ -128,6 +129,9 @@ def cmd_enumerate(args) -> int:
         items = enumerate_catalan(args.n, max_n=args.max_n)
     else:
         items = enumerate_dyck(args.n, max_n=args.max_n)
+    if args.format == "plain":  # one line per item: its text
+        _write_rows("plain", [], items, str)
+        return EXIT_OK
     rows = (
         {
             "index": i,

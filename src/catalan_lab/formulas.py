@@ -16,10 +16,10 @@ import math
 import operator
 import threading
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, islice, repeat
 
+from .paths import _Value
 from .words import StatId, StatKind
 
 # Binomials up to this row come from a memoized Pascal triangle; larger
@@ -254,27 +254,36 @@ class IdentityId(Enum):
     WEIGHTED_CATALAN = "weighted-catalan"
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    lhs: int
-    rhs: int
+class IdentityResult(_Value):
+    __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: int, rhs: int):
+        self._set("lhs", lhs)
+        self._set("rhs", rhs)
 
     @property
     def holds(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(_Value):
     """An identity claimed for every n >= ``floor``.
 
     ``sides(n)`` returns ``(lhs, rhs)``; an identity with a k range ``ks``
     is claimed for every k in ``ks(n)`` and evaluated as ``sides(n, k)``.
     """
 
-    floor: int
-    sides: Callable[..., tuple[int, int]]
-    ks: Callable[[int], range] | None = None
+    __match_args__ = ("floor", "sides", "ks")
+
+    def __init__(
+        self,
+        floor: int,
+        sides: Callable[..., tuple[int, int]],
+        ks: Callable[[int], range] | None = None,
+    ):
+        self._set("floor", floor)
+        self._set("sides", sides)
+        self._set("ks", ks)
 
 
 def _pair_sum(hi: int) -> int:

@@ -8,20 +8,22 @@ there is no realignment by value searching.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 # closed_total stays importable from here: benchmark/tracing.py wraps
 # oeis.closed_total by name
 from .formulas import closed_total, closed_totals  # noqa: F401
+from .paths import _Value
 from .words import StatId, StatKind
 
 
-@dataclass(frozen=True)
-class OeisBinding:
-    id: str | None
-    stat: StatId
-    offset: int = 1
-    first_n: int = 1
+class OeisBinding(_Value):
+    __match_args__ = ("id", "stat", "offset", "first_n")
+
+    def __init__(self, id: str | None, stat: StatId, offset: int = 1, first_n: int = 1):
+        self._set("id", id)
+        self._set("stat", stat)
+        self._set("offset", offset)
+        self._set("first_n", first_n)
 
     def terms(self, count: int) -> list[tuple[int, int]]:
         """The first ``count`` (index, value) pairs, stepped from term to term."""

@@ -7,19 +7,23 @@ the x-axis and never go below it. The module provides ordered enumeration
 occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
 cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
-the random source handed to it. The enumerators and the sampler build their
-paths from the ``U`` and ``D`` constants and skip the step check, which
-``Path(...)`` still makes on every other input.
+the random source handed to it. The enumerators, the sampler,
+``reverse_complement`` and the maps in ``bijections`` build their paths from
+the ``U`` and ``D`` constants or from the steps of checked paths, and skip
+the step check through ``_unchecked_path``; ``Path(...)`` still makes it on
+every other input.
+
+The library's value classes derive from ``_Value``, not ``dataclass``, whose
+import and generated methods took about a third of the command line's import.
 """
 
 import random
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product
-from operator import indexOf, neg
+from operator import attrgetter, indexOf, neg
 
 from .limits import check_ceiling
 
@@ -30,6 +34,53 @@ _STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
 _step_char = {U: "U", D: "D"}.__getitem__
 _BLOCK = 8  # steps per block of the enumeration tables
+_new = object.__new__
+
+
+class _Value:
+    """Base of the value classes: a frozen dataclass's methods, written once.
+
+    A subclass lists its fields in ``__match_args__``, in ``__init__`` order;
+    its ``__init__`` checks them and stores each with ``self._set(name,
+    value)``, as assigning or deleting an attribute raises AttributeError.
+    ``class C(_Value, frozen=False)`` has mutable, unhashable instances.
+    """
+
+    _set = object.__setattr__
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = attrgetter(*cls.__match_args__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+        elif len(cls.__match_args__) == 1:
+            cls.__hash__ = _Value._hash_one
+
+    # _fields(self) is the field tuple, or the field itself when there is one.
+    # Comparing a lone field outside a 1-tuple differs only for a value unequal
+    # to itself, and the lone fields here are tuples; the hash needs the tuple.
+    def __eq__(self, other):
+        cls = type(self)
+        if type(other) is cls:
+            return cls._fields(self) == cls._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(type(self)._fields(self))
+
+    def _hash_one(self):
+        return hash((type(self)._fields(self),))
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # Not functools.cached_property: before Python 3.12 it locks on every first read.
@@ -47,21 +98,21 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Value):
     """Immutable up/down step sequence with derived height data."""
 
-    steps: tuple[int, ...]
+    __match_args__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: tuple[int, ...]):
         try:
-            if _STEPS.issuperset(self.steps):
-                return
+            valid = _STEPS.issuperset(steps)
         except TypeError:  # an unhashable step, named by the loop below
-            pass
-        for s in self.steps:
-            if s != U and s != D:
-                raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
+            valid = False
+        if not valid:
+            for s in steps:
+                if s != U and s != D:
+                    raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
+        self._set("steps", steps)
 
     @classmethod
     def from_string(cls, text: str) -> "Path":
@@ -102,40 +153,40 @@ class Path:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class MarkedPath:
+class MarkedPath(_Value):
     """A path together with one marked contiguous factor."""
 
-    path: Path
-    mark_start: int
-    mark_len: int
+    __match_args__ = ("path", "mark_start", "mark_len")
 
-    def __post_init__(self):
-        if self.mark_len < 1:
-            raise ValueError(f"mark_len must be positive, got {self.mark_len}")
-        if self.mark_start < 0 or self.mark_start + self.mark_len > self.path.length:
+    def __init__(self, path: Path, mark_start: int, mark_len: int):
+        if mark_len < 1:
+            raise ValueError(f"mark_len must be positive, got {mark_len}")
+        if mark_start < 0 or mark_start + mark_len > path.length:
             raise ValueError(
-                f"mark [{self.mark_start}, {self.mark_start + self.mark_len}) "
-                f"out of range for path of length {self.path.length}"
+                f"mark [{mark_start}, {mark_start + mark_len}) "
+                f"out of range for path of length {path.length}"
             )
+        self._set("path", path)
+        self._set("mark_start", mark_start)
+        self._set("mark_len", mark_len)
 
     @property
     def marked_factor(self) -> tuple[int, ...]:
         return self.path.steps[self.mark_start : self.mark_start + self.mark_len]
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(_Value):
     """A reachable endpoint (a, b): a steps ending at height b."""
 
-    a: int
-    b: int
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 0 or self.a < abs(self.b):
-            raise ValueError(f"need a >= |b| >= 0, got ({self.a}, {self.b})")
-        if (self.a - self.b) % 2 != 0:
-            raise ValueError(f"a and b must have equal parity, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int):
+        if a < 0 or a < abs(b):
+            raise ValueError(f"need a >= |b| >= 0, got ({a}, {b})")
+        if (a - b) % 2 != 0:
+            raise ValueError(f"a and b must have equal parity, got ({a}, {b})")
+        self._set("a", a)
+        self._set("b", b)
 
     @property
     def ups(self) -> int:
@@ -144,6 +195,17 @@ class Endpoint:
     @property
     def downs(self) -> int:
         return (self.a - self.b) // 2
+
+
+def _unchecked_path(steps: tuple[int, ...], text: str | None = None) -> Path:
+    """A Path of steps known to be U and D, without the step check: for steps
+    built from the ``U`` and ``D`` constants or taken from checked paths.
+    ``text``, when given, is the path's string, kept as if already read."""
+    p = _new(Path)
+    p._set("steps", steps)
+    if text is not None:
+        p._set("_text", text)
+    return p
 
 
 def is_dyck(p: Path) -> bool:
@@ -188,7 +250,6 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
             if x <= u and size - x <= d and height + low >= floor
         ]
 
-    new = object.__new__
     stack = [(iter(blocks(ups, downs)), (), "")]
     while stack:
         entries, head, head_text = stack[-1]
@@ -198,9 +259,7 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
                 stack.append((iter(blocks(u, d)), steps, text))
                 break
             for tail, tail_text, _, _ in blocks(u, d):
-                p = new(Path)
-                p.__dict__.update(steps=steps + tail, _text=text + tail_text)
-                yield p
+                yield _unchecked_path(steps + tail, text + tail_text)
         else:
             stack.pop()
 
@@ -224,7 +283,7 @@ def _rc(steps: Sequence[int]) -> tuple[int, ...]:
 
 def reverse_complement(p: Path) -> Path:
     """Reverse the steps and swap U with D; an involution negating the endpoint."""
-    return Path(_rc(p.steps))
+    return _unchecked_path(_rc(p.steps))
 
 
 def factor_occurrences(
@@ -377,6 +436,4 @@ def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     arrangement = [D] * n + [U] * (n + 1)
     _shuffle(rng, arrangement)
     r = raney_shift(arrangement)
-    p = object.__new__(Path)  # the steps are U and D constants: skip the check
-    p.__dict__.update(steps=tuple(arrangement[r:] + arrangement[: r - 1]))
-    return p
+    return _unchecked_path(tuple(arrangement[r:] + arrangement[: r - 1]))

@@ -11,7 +11,6 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 
 from . import bijections as bij
 from . import formulas
@@ -21,6 +20,7 @@ from .paths import (
     U,
     MarkedPath,
     Path,
+    _Value,
     count_factor,
     ddu_udu_counts,
     enumerate_dyck,
@@ -44,12 +44,20 @@ from .words import (
 )
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    cases_run: int = 0
-    failures: list[tuple[str, object, object]] = field(default_factory=list)
-    elapsed: float = 0.0
+class VerifyReport(_Value, frozen=False):
+    __match_args__ = ("suite", "cases_run", "failures", "elapsed")
+
+    def __init__(
+        self,
+        suite: str,
+        cases_run: int = 0,
+        failures: list[tuple[str, object, object]] | None = None,
+        elapsed: float = 0.0,
+    ):
+        self.suite = suite
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -110,8 +118,7 @@ def negative_final_paths(n: int) -> list[Path]:
     return [Path(s) for s in steps if sum(s) < 0]
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(_Value):
     """A map that the bijection suite and the random round trips both check.
 
     ``label`` is a template over ``n``, run at the sizes ``sizes(n_max)``.
@@ -121,15 +128,32 @@ class Bijection:
     other inputs come from ``domain(n)`` and ``draw_input(n, rng)``.
     """
 
-    label: str
-    sizes: Callable[[int], range]
-    forward: Callable
-    inverse: Callable
-    image: Callable[[int, dict[int, list[Path]]], list[Path] | None]
-    marks: Callable[[Path], list] | None = None
-    shift: int = 0
-    domain: Callable[[int], list] | None = None
-    draw_input: Callable[[int, random.Random], object] | None = None
+    __match_args__ = (
+        "label", "sizes", "forward", "inverse", "image",
+        "marks", "shift", "domain", "draw_input",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        sizes: Callable[[int], range],
+        forward: Callable,
+        inverse: Callable,
+        image: Callable[[int, dict[int, list[Path]]], list[Path] | None],
+        marks: Callable[[Path], list] | None = None,
+        shift: int = 0,
+        domain: Callable[[int], list] | None = None,
+        draw_input: Callable[[int, random.Random], object] | None = None,
+    ):
+        self._set("label", label)
+        self._set("sizes", sizes)
+        self._set("forward", forward)
+        self._set("inverse", inverse)
+        self._set("image", image)
+        self._set("marks", marks)
+        self._set("shift", shift)
+        self._set("domain", domain)
+        self._set("draw_input", draw_input)
 
     def inputs(self, n: int, dyck: dict[int, list[Path]]) -> list:
         if self.marks is None:

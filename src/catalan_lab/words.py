@@ -11,24 +11,22 @@ letter, with no enumeration.
 
 import re
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import mul
 
 from .limits import COUNT_MAX_N, check_ceiling
-from .paths import D, U, Path, _require_dyck
+from .paths import D, U, Path, _Value, _require_dyck
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """Immutable Catalan word stored as a tuple of positive letters."""
 
-    letters: tuple[int, ...]
+    __match_args__ = ("letters",)
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[int, ...]):
         prev = 0
-        for i, c in enumerate(self.letters):
+        for i, c in enumerate(letters):
             if c < 1:
                 raise ValueError(f"letters must be positive, got {c} at {i}")
             if c > prev + 1:
@@ -36,6 +34,7 @@ class Word:
                     f"letter {c} at position {i} exceeds previous letter {prev} + 1"
                 )
             prev = c
+        self._set("letters", letters)
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -105,23 +104,23 @@ PATTERN_CHANGES: dict[StatKind, Callable[[int, int, int], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class StatId:
+class StatId(_Value):
     """A statistic selector: a kind plus, for pattern kinds, an optional ell.
 
     For the four pattern statistics an absent ell means the total over all
     ell >= 1. The other kinds take no ell.
     """
 
-    kind: StatKind
-    ell: int | None = None
+    __match_args__ = ("kind", "ell")
 
-    def __post_init__(self):
-        if self.ell is not None:
-            if self.kind not in PATTERN_KINDS:
-                raise ValueError(f"{self.kind.value} does not take an ell")
-            if self.ell < 1:
-                raise ValueError(f"ell must be positive, got {self.ell}")
+    def __init__(self, kind: StatKind, ell: int | None = None):
+        if ell is not None:
+            if kind not in PATTERN_KINDS:
+                raise ValueError(f"{kind.value} does not take an ell")
+            if ell < 1:
+                raise ValueError(f"ell must be positive, got {ell}")
+        self._set("kind", kind)
+        self._set("ell", ell)
 
     @classmethod
     def parse(cls, text: str) -> "StatId":
@@ -323,19 +322,29 @@ def stat_value(w: Word, s: StatId) -> int:
     raise ValueError(f"unknown statistic {s!r}")
 
 
-@dataclass
-class SweepTotals:
+class SweepTotals(_Value, frozen=False):
     """Totals of every tracked statistic over all words of one length.
 
     ``patterns`` maps each pattern kind to its totals keyed by ell.
     """
 
-    n: int
-    words: int
-    ascents: int
-    descents: int
-    area: int
-    patterns: dict[StatKind, dict[int, int]]
+    __match_args__ = ("n", "words", "ascents", "descents", "area", "patterns")
+
+    def __init__(
+        self,
+        n: int,
+        words: int,
+        ascents: int,
+        descents: int,
+        area: int,
+        patterns: dict[StatKind, dict[int, int]],
+    ):
+        self.n = n
+        self.words = words
+        self.ascents = ascents
+        self.descents = descents
+        self.area = area
+        self.patterns = patterns
 
     @property
     def levels(self) -> int:

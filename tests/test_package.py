@@ -78,13 +78,18 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Runs build_parser() and main(ARGV) in a fresh interpreter, then reports
-# main's exit code and the catalan_lab modules loaded, on standard error.
+# main's exit code and the modules loaded, on standard error: the catalan_lab
+# ones, and dataclasses and inspect, which no command needs (they cost about a
+# third of the start-up).
 LOADED_BY_COMMAND = """
 import json, sys
 from catalan_lab.cli import build_parser, main
 build_parser()
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m.startswith("catalan_lab"))
+loaded = sorted(
+    m for m in sys.modules
+    if m.startswith("catalan_lab") or m in ("dataclasses", "inspect")
+)
 sys.stderr.write(json.dumps([code, loaded]))
 """
 CORE = ["catalan_lab", "catalan_lab.cli", "catalan_lab.formulas",
@@ -128,3 +133,17 @@ def test_oeis_loads_the_bfile_module_when_it_runs():
     code, loaded = loaded_by("oeis", "A000346", "--terms", "3")
     assert code == 0
     assert "catalan_lab.oeis" in loaded and "catalan_lab.verify" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "all", "--n-max", "3"),
+        ("oeis", "A000346", "--terms", "3"),
+    ],
+    ids=" ".join,
+)
+def test_suite_and_bfile_commands_load_no_dataclasses(argv):
+    code, loaded = loaded_by(*argv)
+    assert code == 0
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

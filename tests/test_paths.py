@@ -20,11 +20,19 @@ from catalan_lab import (
     enumerate_dyck,
     enumerate_lattice,
     factor_occurrences,
+    insert_ud,
     is_dyck,
+    peak_decompose,
+    peak_rebuild,
     random_dyck_path,
+    reflect_after_touch,
+    remove_ud,
     reverse_complement,
+    sym_valley_insert,
+    sym_valley_remove,
     units,
 )
+from catalan_lab.verify import BIJECTIONS, marked_set
 
 P = Path.from_string
 
@@ -339,6 +347,41 @@ class TestUncheckedPaths:
         rng = random.Random(11)
         for n in [*range(20), 200, 1000]:
             self.assert_like_checked(random_dyck_path(n, rng))
+
+    @staticmethod
+    def paths_in(value):
+        """The paths a map returns, alone or in marks and tuples."""
+        if isinstance(value, Path):
+            return [value]
+        if isinstance(value, tuple):
+            return [p for v in value for p in TestUncheckedPaths.paths_in(v)]
+        path = getattr(value, "path", None)
+        return [] if path is None else [path]
+
+    def test_map_images_match_checked(self):
+        dyck = {n: list(enumerate_dyck(n)) for n in range(8)}
+        for entry in BIJECTIONS.values():
+            for n in entry.sizes(6):
+                for x in entry.inputs(n, dyck):
+                    q = entry.forward(x)
+                    for p in self.paths_in(q) + self.paths_in(entry.inverse(q)):
+                        self.assert_like_checked(p)
+        for n in range(1, 7):
+            for p in dyck[n]:
+                precursor, positions = remove_ud(p)
+                images = [
+                    reverse_complement(p),
+                    reflect_after_touch(p, 1),
+                    precursor,
+                    insert_ud(precursor, positions),
+                    peak_rebuild(peak_decompose(precursor)),
+                ]
+                for q in images:
+                    self.assert_like_checked(q)
+            for mp in marked_set(dyck[n], (U,), min_end_height=2):
+                out = sym_valley_insert(mp, 2)
+                for q in self.paths_in(out) + self.paths_in(sym_valley_remove(out)):
+                    self.assert_like_checked(q)
 
     def test_pickle_round_trip(self):
         for p in enumerate_dyck(5):

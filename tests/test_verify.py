@@ -1,11 +1,10 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from catalan_lab import catalan
-from catalan_lab.formulas import IDENTITIES, IdentityId
+from catalan_lab.formulas import IDENTITIES, Identity, IdentityId
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
@@ -120,7 +119,8 @@ def test_broken_side_fails_only_its_identity(monkeypatch, ident):
         lhs, rhs = entry.sides(*args)
         return lhs, rhs + 1
 
-    monkeypatch.setitem(IDENTITIES, ident, replace(entry, sides=off_by_one))
+    broken = Identity(floor=entry.floor, sides=off_by_one, ks=entry.ks)
+    monkeypatch.setitem(IDENTITIES, ident, broken)
     report = verify_identities(10)
     pinned = Path(__file__).parent / "data" / "identity_checks.json"
     assert sorted(desc for desc, _, _ in report.failures) == [
