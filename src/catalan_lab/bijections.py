@@ -10,6 +10,7 @@ caller's pattern in ``split_reverse_inverse`` still gets it.
 """
 
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .paths import (
     D,
@@ -72,7 +73,7 @@ def split_reverse_inverse(
     if survivor not in (U, D):
         raise ValueError("survivor must be U or D")
     pat = tuple(pattern.steps if isinstance(pattern, Path) else pattern)
-    heights = (0,) + image.height_profile
+    heights = tuple(accumulate(image.steps, initial=0))
     low = min(heights)
     if survivor == U:
         vertex = len(heights) - 1 - heights[::-1].index(low)
@@ -407,17 +408,18 @@ def area_mark_decode(image: Path) -> AreaMark:
     """
     if image.length == 0 or image.length % 2:
         raise ValueError("image paths have positive even length")
-    final = image.final_height
+    heights = tuple(accumulate(image.steps, initial=0))
+    final = heights[-1]
     if final >= 0 or final % 2:
         raise ValueError(f"image paths end at negative even height, got {final}")
     n = image.length // 2
     j = (-final - 2) // 2
-    m = -image.min_height - j - 1
+    low = min(heights)
+    m = -low - j - 1
     if not 0 <= j < m <= n:
         raise ValueError("endpoint and minimum heights are inconsistent")
-    heights = (0,) + image.height_profile
     a = heights.index(-j - 1)
-    b = heights.index(image.min_height)
+    b = heights.index(low)
     if image.steps[a - 1] != D or image.steps[b - 1] != D:
         raise ValueError("split points are not down steps")
     head = _rc(image.steps[a : b - 1])

@@ -8,10 +8,11 @@ occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
 cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
 the random source handed to it. The enumerators, the sampler,
-``reverse_complement`` and the maps in ``bijections`` build their paths from
-the ``U`` and ``D`` constants or from the steps of checked paths, and skip
-the step check through ``_unchecked_path``; ``Path(...)`` still makes it on
-every other input.
+``reverse_complement``, the maps in ``bijections`` and
+``verify.negative_final_paths`` build their paths from the ``U`` and ``D``
+constants or from the steps of checked paths, and skip the step check
+through ``_unchecked_path``; ``Path(...)`` still makes it on every other
+input.
 
 The library's value classes derive from ``_Value``, not ``dataclass``, whose
 import and generated methods took about a third of the command line's import.
@@ -85,7 +86,12 @@ class _Value:
 
 # Not functools.cached_property: before Python 3.12 it locks on every first read.
 class _cached:
-    """Compute an attribute on first read and keep it in the instance dict."""
+    """Compute an attribute on first read and keep it on the instance.
+
+    The value is stored with ``object.__setattr__``: on CPython 3.11 reading
+    ``obj.__dict__`` to store it would build the instance's dict, 64 B on a
+    path, beside the attribute values the instance already holds.
+    """
 
     def __init__(self, func):
         self.func = func
@@ -94,7 +100,8 @@ class _cached:
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.func.__name__, value)
         return value
 
 

@@ -20,6 +20,7 @@ from .paths import (
     U,
     MarkedPath,
     Path,
+    _unchecked_path,
     _Value,
     count_factor,
     ddu_udu_counts,
@@ -115,7 +116,7 @@ FACTOR_COUNTS: dict[str, Callable[[Path], int]] = {
 def negative_final_paths(n: int) -> list[Path]:
     """All length-2n up/down paths with negative final height."""
     steps = itertools.product((U, D), repeat=2 * n)
-    return [Path(s) for s in steps if sum(s) < 0]
+    return [_unchecked_path(s) for s in steps if sum(s) < 0]
 
 
 class Bijection(_Value):
@@ -265,42 +266,22 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
 
     for entry in BIJECTIONS.values():
         for n in entry.sizes(n_max):
-            label = entry.label.format(n=n)
-            domain = entry.inputs(n, dyck)
-            expected = entry.image(n, dyck)
-            if expected is None:
-                rpt.check(f"{label}: empty domain", 0, len(domain))
-                continue
-            expected = set(expected)
-            images = [entry.forward(x) for x in domain]
-            errors = sum(entry.inverse(q) != x for x, q in zip(domain, images))
-            rpt.check(f"{label}: images distinct", len(images), len(set(images)))
-            rpt.check(f"{label}: image set", expected, set(images))
-            rpt.check(f"{label}: round trips", 0, errors)
-            rpt.check(f"{label}: domain size", len(domain), len(expected))
+            _check_entry(rpt, entry, n, dyck)
 
     for n in range(4, n_max + 1):
         # inserting the valley factor after high up steps hits every occurrence
         for ell in range(1, n - 2):
-            m = n - ell - 1
-            domain = marked_set(dyck[m], (U,), min_end_height=2)
-            images = [bij.sym_valley_insert(mp, ell) for mp in domain]
-            errors = sum(
-                bij.sym_valley_remove(out) != (mp, ell)
-                for mp, out in zip(domain, images)
+            _check_map(
+                rpt,
+                f"valley insert {{}} n={n} ell={ell}",
+                [
+                    (mp, ell)
+                    for mp in marked_set(dyck[n - ell - 1], (U,), min_end_height=2)
+                ],
+                lambda x: bij.sym_valley_insert(*x),
+                bij.sym_valley_remove,
+                set(marked_set(dyck[n], bij.sym_valley_pattern(ell))),
             )
-            expected = marked_set(dyck[n], bij.sym_valley_pattern(ell))
-            rpt.check(
-                f"valley insert images distinct n={n} ell={ell}",
-                len(images),
-                len(set(images)),
-            )
-            rpt.check(
-                f"valley insert image set n={n} ell={ell}",
-                set(expected),
-                set(images),
-            )
-            rpt.check(f"valley insert round trips n={n} ell={ell}", 0, errors)
 
     for n in range(1, n_max + 1):
         # run-length vectors of UDU-free paths and the slot-fill covering
@@ -446,6 +427,38 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
 
     rpt.elapsed = time.perf_counter() - start
     return rpt
+
+
+def _check_map(rpt, label, domain, forward, inverse, expected) -> None:
+    """Check in one pass that ``forward`` maps ``domain`` one to one onto
+    ``expected`` and that ``inverse`` maps each image back.
+
+    ``label`` names the checks, with ``{}`` for the name of each. The images
+    are held in one set and nowhere else.
+    """
+    images = set()
+    errors = 0
+    for x in domain:
+        q = forward(x)
+        images.add(q)
+        errors += inverse(q) != x
+    rpt.check(label.format("images distinct"), len(domain), len(images))
+    rpt.check(label.format("image set"), expected, images)
+    rpt.check(label.format("round trips"), 0, errors)
+
+
+def _check_entry(rpt, entry: Bijection, n: int, dyck) -> None:
+    """Check one ``BIJECTIONS`` entry at size ``n``. Its inputs and images are
+    freed on return, before the next size builds its own."""
+    label = entry.label.format(n=n)
+    domain = entry.inputs(n, dyck)
+    expected = entry.image(n, dyck)
+    if expected is None:
+        rpt.check(f"{label}: empty domain", 0, len(domain))
+        return
+    expected = set(expected)
+    _check_map(rpt, label + ": {}", domain, entry.forward, entry.inverse, expected)
+    rpt.check(f"{label}: domain size", len(domain), len(expected))
 
 
 def _weak_compositions(total: int, parts: int):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -100,6 +102,63 @@ class TestSplitReverse:
         mp = MarkedPath(P("UUDDUD"), 0, 2)
         image = split_reverse(mp, D)
         assert split_reverse_inverse(image, (U, U), D) == mp
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: area_mark_decode(P("")), "image paths have positive even length"),
+        (lambda: area_mark_decode(P("DDD")), "image paths have positive even length"),
+        (
+            lambda: area_mark_decode(P("UD")),
+            "image paths end at negative even height, got 0",
+        ),
+        (
+            lambda: area_mark_decode(P("UUUU")),
+            "image paths end at negative even height, got 4",
+        ),
+        (
+            lambda: split_reverse_inverse(P("DUU"), (U, U), 0),
+            "survivor must be U or D",
+        ),
+        (
+            lambda: split_reverse_inverse(P("UD"), (U,), U),
+            "no surviving up step at the rightmost minimum",
+        ),
+        (
+            lambda: split_reverse_inverse(P("UD"), (U,), D),
+            "no surviving down step into the leftmost minimum",
+        ),
+        (
+            lambda: split_reverse_inverse(P("DUU"), (U, 0), D),
+            "steps must be +1 (U) or -1 (D), got 0",
+        ),
+    ],
+)
+def test_inverse_error_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("name,n", [("area", 6), ("uu", 7)])
+def test_inverse_leaves_its_argument_bare(name, n):
+    # an inverse that caches heights on the image it reads keeps them for as
+    # long as the caller holds the image, as the bijection suite does
+    entry = BIJECTIONS[name]
+    dyck = {n: list(enumerate_dyck(n))}
+    images = [entry.forward(x) for x in entry.inputs(n, dyck)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for q in images:
+            entry.inverse(q)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * len(images)
 
 
 class TestMarkedUnit:
@@ -567,21 +626,16 @@ class TestRandomRoundTrips:
         assert insert_ud(precursor, positions) == p
 
 
+def replaced(entry, **changes):
+    """A copy of a ``BIJECTIONS`` entry with the given fields changed."""
+    fields = {name: getattr(entry, name) for name in Bijection.__match_args__}
+    return Bijection(**{**fields, **changes})
+
+
 @pytest.mark.parametrize("name", list(BIJECTIONS))
 def test_broken_inverse_fails_only_its_entry(monkeypatch, name):
     entry = BIJECTIONS[name]
-    broken = Bijection(
-        label=entry.label,
-        sizes=entry.sizes,
-        forward=entry.forward,
-        inverse=lambda q: None,
-        image=entry.image,
-        marks=entry.marks,
-        shift=entry.shift,
-        domain=entry.domain,
-        draw_input=entry.draw_input,
-    )
-    monkeypatch.setitem(BIJECTIONS, name, broken)
+    monkeypatch.setitem(BIJECTIONS, name, replaced(entry, inverse=lambda q: None))
     dyck = {n: list(enumerate_dyck(n)) for n in range(6)}
     expected = {
         f"{entry.label.format(n=n)}: round trips"
@@ -593,3 +647,28 @@ def test_broken_inverse_fails_only_its_entry(monkeypatch, name):
     assert {desc for desc, _, _ in report.failures} == expected
     x, back = TestRandomRoundTrips.round_trip(name, 60, seed=0)
     assert back != x
+
+
+@pytest.mark.parametrize("name", list(BIJECTIONS))
+def test_collapsed_forward_fails_only_its_entry(monkeypatch, name):
+    # every input of a size goes to the image of that size's first input
+    entry = BIJECTIONS[name]
+    dyck = {n: list(enumerate_dyck(n)) for n in range(7)}
+    first, expected = {}, []
+    for n in entry.sizes(6):
+        inputs = entry.inputs(n, dyck)
+        first.update((x, inputs[0]) for x in inputs)
+        image = entry.image(n, dyck)
+        if image is None or len(inputs) < 2:
+            continue
+        label = entry.label.format(n=n)
+        expected += [
+            (f"{label}: images distinct", len(inputs), 1),
+            (f"{label}: image set", set(image), {entry.forward(inputs[0])}),
+            (f"{label}: round trips", 0, len(inputs) - 1),
+        ]
+    collapsed = replaced(entry, forward=lambda x: entry.forward(first[x]))
+    monkeypatch.setitem(BIJECTIONS, name, collapsed)
+    report = verify_bijections(6)
+    assert expected
+    assert report.failures == expected

@@ -2,6 +2,8 @@ import gc
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -52,6 +54,25 @@ def naive_occurrences(p, pattern):
     return sum(1 for i in range(len(text) - len(pat) + 1) if text[i : i + len(pat)] == pat)
 
 
+# Reads min_height on the Dyck paths of n = 10 in a fresh interpreter, as a
+# command does, and writes the bytes the reads left allocated, per path. It
+# runs apart because CPython keeps the attribute names of a class's instances
+# in one shared table that takes new names only until the class has a few
+# dozen instances; a name stored later gets a dict built for it anyway.
+CACHED_READ_BYTES = """
+import gc, sys, tracemalloc
+from catalan_lab.paths import enumerate_dyck
+paths = list(enumerate_dyck(10))
+gc.collect()
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+for p in paths:
+    p.min_height
+gc.collect()
+sys.stdout.write(str((tracemalloc.get_traced_memory()[0] - base) / len(paths)))
+"""
+
+
 class TestPathType:
     def test_construction_and_derived(self):
         p = P("UUDD")
@@ -99,6 +120,17 @@ class TestPathType:
         assert copy == p and hash(copy) == hash(p)
         assert copy.height_profile == profile == (1, 2, 1, 2, 1, 0, 1, 0)
         assert copy.min_height == 0
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="attributes live in a dict before 3.11"
+    )
+    def test_cached_read_builds_no_instance_dict(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", CACHED_READ_BYTES],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        # an instance dict built for the value would take 64 B per path
+        assert float(proc.stdout) < 8
 
     def test_marked_path_validation(self):
         mp = MarkedPath(P("UUDD"), 1, 2)

@@ -1,14 +1,16 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from catalan_lab import catalan
+from catalan_lab import D, U, catalan, paths
 from catalan_lab.formulas import IDENTITIES, Identity, IdentityId
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
     VerifyReport,
+    negative_final_paths,
     run_suite,
     verify_bijections,
     verify_distributions,
@@ -154,6 +156,12 @@ def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
     assert [desc for desc, _, _ in bijections.failures] == [
         f"marked factor counts n={n}" for n in range(1, 6)
     ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_negative_final_paths_in_order(n):
+    steps = itertools.product((U, D), repeat=2 * n)
+    assert negative_final_paths(n) == [paths.Path(s) for s in steps if sum(s) < 0]
 
 
 class TestRunSuite:
