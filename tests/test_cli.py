@@ -95,6 +95,24 @@ class TestEnumerate:
         )
         assert code == 2 and "words" in err
 
+    # size and sha256 of `enumerate --kind words --n 8 --stats all` (1,430
+    # rows, every statistic) as printed before the walk-string oracle
+    WORDS_N8_ALL_STATS = {
+        "csv": (57642, "0fff59eccf9b5bd96e2b4b71cdbad7b2e6a13c9ea0db2a906cfad484d8fe3446"),
+        "json": (342081, "1592b2af85d03f18e8ea70fb3bdb2f809a78ed7eabc5223ef15c9fa62acb0bbc"),
+    }
+
+    @pytest.mark.parametrize("fmt", WORDS_N8_ALL_STATS)
+    def test_words_n8_all_stats_bytes_pinned(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "--kind", "words", "--n", "8", "--stats", "all",
+            "--format", fmt,
+        )
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.WORDS_N8_ALL_STATS[fmt]
+
 
 class TestTotals:
     def test_sym_valley_final_row(self, capsys):
