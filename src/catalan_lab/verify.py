@@ -246,6 +246,9 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     C = formulas.catalan
     B = formulas.binomial
 
+    def closed(n: int, stat: str) -> int:
+        return formulas.closed_total(n, StatId.parse(stat))
+
     for n in range(n_max + 1):
         # reverse-complement is an involution fixing the Dyck class; the image
         # check rejects any non-Dyck image
@@ -392,11 +395,11 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         counts = {name: sum(map(f, paths)) for name, f in FACTOR_COUNTS.items()}
         expected_counts = {
             "uu": B(2 * n - 1, n - 2),
-            "ddu": B(2 * n - 2, n - 3),
+            "ddu": closed(n, "corner-dh"),
             "udu": B(2 * n - 2, n - 2),
-            "uuddu": B(2 * n - 4, n - 3),
-            "uudd non-terminal": B(2 * n - 3, n - 3),
-            "deep-valley": B(2 * n - 3, n - 4),
+            "uuddu": closed(n, "sym-peak:1"),
+            "uudd non-terminal": closed(n, "ell-peak:1"),
+            "deep-valley": closed(n, "ell-valley:1"),
         }
         rpt.check(f"marked factor counts n={n}", expected_counts, counts)
         high_ups = len(marked_set(paths, (U,), min_end_height=2))
@@ -415,15 +418,12 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         multi_unit = sum(1 for q in dyck[m + 1] if len(units(q)) >= 2)
         rpt.check(f"marked-unit image count m={m}", C(m + 1) - C(m), multi_unit)
     for n in range(1, min(n_max, 8) + 1):
-        rpt.check(
-            f"negative-final path count n={n}",
-            (4**n - B(2 * n, n)) // 2,
-            len(negative_final_paths(n)),
-        )
+        area = closed(n, "area")
+        rpt.check(f"negative-final path count n={n}", area, len(negative_final_paths(n)))
         phi_total = sum(
             h for p in dyck[n] for s, h in zip(p.steps, p.height_profile) if s == U
         )
-        rpt.check(f"up-step height total n={n}", (4**n - B(2 * n, n)) // 2, phi_total)
+        rpt.check(f"up-step height total n={n}", area, phi_total)
 
     rpt.elapsed = time.perf_counter() - start
     return rpt

@@ -13,7 +13,7 @@ import re
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from itertools import accumulate
-from operator import mul
+from operator import ge, gt, le, lt, mul
 
 from .limits import COUNT_MAX_N, check_ceiling
 from .paths import D, U, Path, _Value, _require_dyck
@@ -101,6 +101,17 @@ PATTERN_CHANGES: dict[StatKind, Callable[[int, int, int], bool]] = {
     StatKind.ELL_VALLEY: lambda x, b, c: b == c - 1 and 2 <= c <= x,
     StatKind.SYM_PEAK: lambda x, b, c: b == x + 1 and c == x,
     StatKind.ELL_PEAK: lambda x, b, c: b == x + 1 and c <= x,
+}
+
+
+# The run statistics: the comparison of a letter with the one before it under
+# which the letter continues a maximal run. stat_value reads this table, not
+# ADJACENCY_INCREMENTS, so the two sides are written apart.
+_RUN_CONTINUES: dict[StatKind, Callable[[int, int], bool]] = {
+    StatKind.RUNS_DESC: lt,
+    StatKind.RUNS_WEAK_ASC: ge,
+    StatKind.RUNS_ASC: gt,
+    StatKind.RUNS_WEAK_DESC: le,
 }
 
 
@@ -197,6 +208,15 @@ def asc_des_lev(w: Word) -> tuple[int, int, int]:
     return asc, des, lev
 
 
+def _walk(letters: tuple[int, ...]) -> str:
+    """The boundary walk of the column diagram as a string of U, D and A (across)."""
+    heights = zip((0, *letters), (*letters, 0))
+    return "A".join(["U" * (c - h) + "D" * (h - c) for h, c in heights])
+
+
+_BAR_STEPS = {"U": BarStep.UP, "D": BarStep.DOWN, "A": BarStep.ACROSS}
+
+
 def bargraph_path(w: Word) -> tuple[BarStep, ...]:
     """Boundary walk of the column diagram of ``w``, from (0,0) back to the axis.
 
@@ -206,28 +226,7 @@ def bargraph_path(w: Word) -> tuple[BarStep, ...]:
     """
     if not w.letters:
         raise ValueError("the empty word has no column diagram")
-    walk: list[BarStep] = []
-    h = 0
-    for c in w.letters:
-        while h < c:
-            walk.append(BarStep.UP)
-            h += 1
-        while h > c:
-            walk.append(BarStep.DOWN)
-            h -= 1
-        walk.append(BarStep.ACROSS)
-    walk.extend([BarStep.DOWN] * h)
-    return tuple(walk)
-
-
-def _walk_corners(walk: Sequence[BarStep]) -> tuple[int, int]:
-    hu = dh = 0
-    for a, b in zip(walk, walk[1:]):
-        if a is BarStep.ACROSS and b is BarStep.UP:
-            hu += 1
-        elif a is BarStep.DOWN and b is BarStep.ACROSS:
-            dh += 1
-    return hu, dh
+    return tuple(map(_BAR_STEPS.__getitem__, _walk(w.letters)))
 
 
 def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
@@ -276,49 +275,24 @@ def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
     return total
 
 
-def _count_runs(w: Word, kind: StatKind) -> int:
-    """Number of maximal runs of the given comparison sense."""
-    n = len(w.letters)
-    if n == 0:
-        return 0
-    breaks = 0
-    for a, b in zip(w.letters, w.letters[1:]):
-        if kind is StatKind.RUNS_DESC:
-            boundary = not b < a
-        elif kind is StatKind.RUNS_WEAK_ASC:
-            boundary = not b >= a
-        elif kind is StatKind.RUNS_ASC:
-            boundary = not b > a
-        else:  # RUNS_WEAK_DESC
-            boundary = not b <= a
-        if boundary:
-            breaks += 1
-    return breaks + 1
-
-
 def stat_value(w: Word, s: StatId) -> int:
     """Value of statistic ``s`` on a single word."""
     kind = s.kind
     if kind in PATTERN_KINDS:
         return _scan_patterns(w, kind, s.ell)
-    if kind in (
-        StatKind.RUNS_DESC,
-        StatKind.RUNS_WEAK_ASC,
-        StatKind.RUNS_ASC,
-        StatKind.RUNS_WEAK_DESC,
-    ):
-        return _count_runs(w, kind)
+    letters = w.letters
+    if kind in _RUN_CONTINUES:
+        # every letter starts a run unless it continues the one before it
+        return len(letters) - sum(map(_RUN_CONTINUES[kind], letters[1:], letters))
     if kind is StatKind.AREA:
-        return sum(w.letters)
-    if not w.letters:
-        return 0  # the empty word has no column diagram: no corner, no perimeter
-    walk = bargraph_path(w)
+        return sum(letters)
+    walk = _walk(letters)
     if kind is StatKind.CORNER_HU:
-        return _walk_corners(walk)[0]
+        return walk.count("AU")
     if kind is StatKind.CORNER_DH:
-        return _walk_corners(walk)[1]
+        return walk.count("DA")
     if kind is StatKind.SEMI:
-        return len(w.letters) + sum(1 for step in walk if step is BarStep.UP)
+        return len(letters) + walk.count("U")
     raise ValueError(f"unknown statistic {s!r}")
 
 

@@ -184,6 +184,28 @@ class TestStatValue:
     def test_corners_empty_word(self):
         assert stat_value(Word(()), sid(StatKind.CORNER_HU)) == 0
 
+    def test_reads_no_count_table(self, monkeypatch):
+        # every entry of both count-side tables made wrong at run time
+        words = [w for n in range(9) for w in enumerate_catalan(n)]
+        stats = [sid(k) for k in StatKind]
+        stats += [sid(k, ell) for k in PATTERN_KINDS for ell in range(1, 4)]
+        before = [[stat_value(w, s) for s in stats] for w in words]
+        for kind, (first, increments) in ADJACENCY_INCREMENTS.items():
+            wrong = (first + 1, tuple(1 - inc for inc in increments))
+            monkeypatch.setitem(ADJACENCY_INCREMENTS, kind, wrong)
+        for kind, completes in PATTERN_CHANGES.items():
+            monkeypatch.setitem(
+                PATTERN_CHANGES, kind, lambda *xbc, f=completes: not f(*xbc)
+            )
+        # the count side reads the wrong tables ...
+        totals = sweep_totals(6)
+        for s in stats:
+            if s.kind is not StatKind.AREA:
+                got = sum(stat_value(w, s) for w in enumerate_catalan(6))
+                assert totals.total(s) != got, s
+        # ... and the definition-level oracle does not
+        assert [[stat_value(w, s) for s in stats] for w in words] == before
+
 
 class TestBargraph:
     def test_single_column(self):
