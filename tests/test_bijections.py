@@ -46,7 +46,14 @@ from catalan_lab import (
     sym_valley_remove,
     units,
 )
-from catalan_lab.verify import BIJECTIONS, Bijection, marked_set, verify_bijections
+from catalan_lab.verify import (
+    BIJECTIONS,
+    Bijection,
+    VerifyReport,
+    _check_entry,
+    marked_set,
+    verify_bijections,
+)
 
 P = Path.from_string
 
@@ -672,3 +679,41 @@ def test_collapsed_forward_fails_only_its_entry(monkeypatch, name):
     report = verify_bijections(6)
     assert expected
     assert report.failures == expected
+
+
+class RecordingReport(VerifyReport):
+    """A report that keeps every check, passed or failed."""
+
+    def __init__(self):
+        super().__init__("recording")
+        self.checks = []
+
+    def check(self, description, expected, got):
+        super().check(description, expected, got)
+        self.checks.append((description, expected, got))
+
+
+def test_stray_image_records_each_check():
+    # one input goes to a path that ends below zero, outside the uu class
+    entry, n = BIJECTIONS["uu"], 5
+    dyck = {m: list(enumerate_dyck(m)) for m in range(n + 1)}
+    inputs = entry.inputs(n, dyck)
+    image = set(entry.image(n, dyck))
+    stray = P("D" + "UD" * (n - 1))
+    assert stray not in image
+    rpt = RecordingReport()
+    moved = replaced(
+        entry, forward=lambda x: stray if x == inputs[0] else entry.forward(x)
+    )
+    _check_entry(rpt, moved, n, dyck)
+    got = image - {entry.forward(inputs[0])} | {stray}
+    assert rpt.checks == [
+        ("split-reverse uu n=5: images distinct", len(inputs), len(inputs)),
+        ("split-reverse uu n=5: image set", image, got),
+        ("split-reverse uu n=5: round trips", 0, 1),
+        ("split-reverse uu n=5: domain size", len(inputs), len(image)),
+    ]
+    assert [(type(e), type(g)) for _, e, g in rpt.checks] == [
+        (int, int), (set, set), (int, int), (int, int)
+    ]
+    assert rpt.failures == rpt.checks[1:3]
