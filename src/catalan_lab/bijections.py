@@ -367,14 +367,16 @@ class AreaMark(_Value):
     def __init__(self, path: Path, up_index: int, j: int):
         if not is_dyck(path):
             raise ValueError("area marks live on Dyck paths")
-        if not 0 <= up_index < path.length:
+        steps = path.steps
+        if not 0 <= up_index < len(steps):
             raise ValueError(f"up_index {up_index} out of range")
-        if path.steps[up_index] != U:
+        if steps[up_index] != U:
             raise ValueError(f"step {up_index} is not an up step")
+        top = path.height_profile[up_index] - 1
+        if not 0 <= j <= top:
+            raise ValueError(f"need 0 <= j <= {top}, got j={j}")
         self._set("path", path)
         self._set("up_index", up_index)
-        if not 0 <= j <= self.height - 1:
-            raise ValueError(f"need 0 <= j <= {self.height - 1}, got j={j}")
         self._set("j", j)
 
     @property

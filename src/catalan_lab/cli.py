@@ -132,17 +132,18 @@ def cmd_enumerate(args) -> int:
     if args.format == "plain":  # one line per item: its text
         _write_rows("plain", [], items, str)
         return EXIT_OK
+    named = [(str(s), s) for s in stats]
     rows = (
         {
             "index": i,
             "value": str(item),
-            "stats": {str(s): stat_value(item, s) for s in stats},
+            "stats": {name: stat_value(item, s) for name, s in named},
         }
         if stats
         else {"index": i, "value": str(item)}
         for i, item in enumerate(items)
     )
-    header = ["index", "value"] + [str(s) for s in stats]
+    header = ["index", "value"] + [name for name, _ in named]
     _write_rows(args.format, header, rows, itemgetter("value"))
     return EXIT_OK
 

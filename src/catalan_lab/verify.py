@@ -157,9 +157,13 @@ class Bijection(_Value):
         self._set("draw_input", draw_input)
 
     def inputs(self, n: int, dyck: dict[int, list[Path]]) -> list:
+        return list(self._stream(n, dyck))
+
+    def _stream(self, n: int, dyck: dict[int, list[Path]]) -> Iterable:
+        """The inputs at size ``n``; a mark is made when it is read."""
         if self.marks is None:
             return self.domain(n)
-        return [x for p in dyck[n - self.shift] for x in self.marks(p)]
+        return (x for p in dyck[n - self.shift] for x in self.marks(p))
 
     def draw(self, n: int, rng: random.Random):
         """One random input, or None when the drawn path carries no mark."""
@@ -277,13 +281,13 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
             _check_map(
                 rpt,
                 f"valley insert {{}} n={n} ell={ell}",
-                [
+                (
                     (mp, ell)
                     for mp in marked_set(dyck[n - ell - 1], (U,), min_end_height=2)
-                ],
+                ),
                 lambda x: bij.sym_valley_insert(*x),
                 bij.sym_valley_remove,
-                set(marked_set(dyck[n], bij.sym_valley_pattern(ell))),
+                marked_set(dyck[n], bij.sym_valley_pattern(ell)),
             )
 
     for n in range(1, n_max + 1):
@@ -429,36 +433,42 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     return rpt
 
 
-def _check_map(rpt, label, domain, forward, inverse, expected) -> None:
+def _check_map(rpt, label, domain, forward, inverse, expected) -> tuple[int, int]:
     """Check in one pass that ``forward`` maps ``domain`` one to one onto
-    ``expected`` and that ``inverse`` maps each image back.
+    the paths of ``expected`` and that ``inverse`` maps each image back.
 
-    ``label`` names the checks, with ``{}`` for the name of each. The images
-    are held in one set and nowhere else.
+    ``label`` names the checks, with ``{}`` for the name of each. ``domain``
+    is read once, so it may be a generator. An image equal to an expected
+    path is kept as that path, so no path is held twice. Returns the numbers
+    of inputs and of distinct expected paths.
     """
+    canonical = {p: p for p in expected}
     images = set()
-    errors = 0
+    errors = count = 0
     for x in domain:
         q = forward(x)
-        images.add(q)
+        images.add(canonical.get(q, q))
         errors += inverse(q) != x
-    rpt.check(label.format("images distinct"), len(domain), len(images))
-    rpt.check(label.format("image set"), expected, images)
+        count += 1
+    rpt.check(label.format("images distinct"), count, len(images))
+    rpt.check(label.format("image set"), set(canonical), images)
     rpt.check(label.format("round trips"), 0, errors)
+    return count, len(canonical)
 
 
 def _check_entry(rpt, entry: Bijection, n: int, dyck) -> None:
-    """Check one ``BIJECTIONS`` entry at size ``n``. Its inputs and images are
-    freed on return, before the next size builds its own."""
+    """Check one ``BIJECTIONS`` entry at size ``n``. Its inputs are streamed
+    and its images freed on return, before the next size builds its own."""
     label = entry.label.format(n=n)
-    domain = entry.inputs(n, dyck)
+    domain = entry._stream(n, dyck)
     expected = entry.image(n, dyck)
     if expected is None:
-        rpt.check(f"{label}: empty domain", 0, len(domain))
+        rpt.check(f"{label}: empty domain", 0, sum(1 for _ in domain))
         return
-    expected = set(expected)
-    _check_map(rpt, label + ": {}", domain, entry.forward, entry.inverse, expected)
-    rpt.check(f"{label}: domain size", len(domain), len(expected))
+    sizes = _check_map(
+        rpt, label + ": {}", domain, entry.forward, entry.inverse, expected
+    )
+    rpt.check(f"{label}: domain size", *sizes)
 
 
 def _weak_compositions(total: int, parts: int):

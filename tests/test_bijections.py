@@ -51,6 +51,7 @@ from catalan_lab.verify import (
     Bijection,
     VerifyReport,
     _check_entry,
+    _check_map,
     marked_set,
     verify_bijections,
 )
@@ -717,3 +718,18 @@ def test_stray_image_records_each_check():
         (int, int), (set, set), (int, int), (int, int)
     ]
     assert rpt.failures == rpt.checks[1:3]
+
+
+def test_images_are_held_as_the_expected_paths():
+    expected = list(enumerate_dyck(5))
+
+    def copy(p):
+        return P(str(p))
+
+    assert all(copy(p) is not p for p in expected)
+    rpt = RecordingReport()
+    sizes = _check_map(rpt, "copy {}", (p for p in expected), copy, copy, expected)
+    assert sizes == (len(expected), len(expected))
+    assert rpt.failures == []
+    ((_, _, got),) = [c for c in rpt.checks if c[0] == "copy image set"]
+    assert {id(q) for q in got} == {id(p) for p in expected}
