@@ -2,6 +2,7 @@
 signatures, defaults, reprs, equality and hashes, frozen fields and pickling;
 ``SweepTotals`` and ``VerifyReport`` stay mutable and unhashable."""
 
+import copy
 import pickle
 
 import pytest
@@ -223,3 +224,54 @@ class TestVerifyReport:
         assert report.elapsed == 1.5
         with pytest.raises(TypeError, match="unhashable"):
             hash(report)
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _read_cached(obj):
+    """Read every cached value a value holds, on it and on its path."""
+    for p in (obj, getattr(obj, "path", None)):
+        if isinstance(p, Path):
+            str(p), p.min_height, p.height_profile
+    return obj
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Path((U, U, D, U, D, D)),
+        lambda: MarkedPath(Path((U, U, D, D, U, D)), 1, 3),
+        lambda: AreaMark(Path((U, U, D, U, D, D)), 1, 1),
+        lambda: Word((1, 2, 2, 1, 2)),
+    ],
+    ids=["Path", "MarkedPath", "AreaMark", "Word"],
+)
+def test_copies_after_cached_reads(make, copier):
+    obj = _read_cached(make())
+    got = copier(obj)
+    assert type(got) is type(obj)
+    assert got == obj and hash(got) == hash(obj)
+    assert str(got) == str(obj) and repr(got) == repr(obj)
+    assert _read_cached(got) == make()
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "read"])
+@pytest.mark.parametrize("name", ["steps", "min_height", "height_profile", "_text"])
+def test_path_names_cannot_be_assigned_or_deleted(name, read_first):
+    p = Path((U, D, D, U))
+    if read_first:
+        _read_cached(p)
+    with pytest.raises(AttributeError) as raised:
+        setattr(p, name, 0)
+    assert str(raised.value) == f"cannot assign to field {name!r}"
+    with pytest.raises(AttributeError) as raised:
+        delattr(p, name)
+    assert str(raised.value) == f"cannot delete field {name!r}"
+    assert (p.steps, p.min_height, p.height_profile, str(p)) == (
+        (U, D, D, U), -1, (1, 0, -1, 0), "UDDU"
+    )
