@@ -218,7 +218,7 @@ class PeakVector(_Value):
     at least as many up-run steps as down-run steps.
     """
 
-    __match_args__ = ("pairs",)
+    __match_args__ = __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         if not pairs:
@@ -362,7 +362,7 @@ class AreaMark(_Value):
     over 0..m-1. Counting all such triples totals the up-step heights.
     """
 
-    __match_args__ = ("path", "up_index", "j")
+    __match_args__ = __slots__ = ("path", "up_index", "j")
 
     def __init__(self, path: Path, up_index: int, j: int):
         if not is_dyck(path):

@@ -255,7 +255,7 @@ class IdentityId(Enum):
 
 
 class IdentityResult(_Value):
-    __match_args__ = ("lhs", "rhs")
+    __match_args__ = __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: int, rhs: int):
         self._set("lhs", lhs)
@@ -273,7 +273,7 @@ class Identity(_Value):
     is claimed for every k in ``ks(n)`` and evaluated as ``sides(n, k)``.
     """
 
-    __match_args__ = ("floor", "sides", "ks")
+    __match_args__ = __slots__ = ("floor", "sides", "ks")
 
     def __init__(
         self,

@@ -17,7 +17,7 @@ from .words import StatId, StatKind
 
 
 class OeisBinding(_Value):
-    __match_args__ = ("id", "stat", "offset", "first_n")
+    __match_args__ = __slots__ = ("id", "stat", "offset", "first_n")
 
     def __init__(self, id: str | None, stat: StatId, offset: int = 1, first_n: int = 1):
         self._set("id", id)

@@ -16,6 +16,8 @@ input.
 
 The library's value classes derive from ``_Value``, not ``dataclass``, whose
 import and generated methods took about a third of the command line's import.
+The frozen ones keep their values in ``__slots__``, with no ``__dict__``, so a
+path takes the same memory whatever is read first.
 """
 
 import random
@@ -41,12 +43,14 @@ _new = object.__new__
 class _Value:
     """Base of the value classes: a frozen dataclass's methods, written once.
 
-    A subclass lists its fields in ``__match_args__``, in ``__init__`` order;
-    its ``__init__`` checks them and stores each with ``self._set(name,
-    value)``, as assigning or deleting an attribute raises AttributeError.
+    A subclass lists its fields in ``__match_args__``, in ``__init__`` order,
+    and a frozen one also in ``__slots__``; its ``__init__`` checks them and
+    stores each with ``self._set(name, value)``, as assigning or deleting an
+    attribute raises AttributeError. Pickling and copying call the class again.
     ``class C(_Value, frozen=False)`` has mutable, unhashable instances.
     """
 
+    __slots__ = ()
     _set = object.__setattr__
 
     def __init_subclass__(cls, frozen: bool = True):
@@ -73,6 +77,9 @@ class _Value:
     def _hash_one(self):
         return hash((type(self)._fields(self),))
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
     def __repr__(self) -> str:
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({', '.join(fields)})"
@@ -84,33 +91,14 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# Not functools.cached_property: before Python 3.12 it locks on every first read.
-class _cached:
-    """Compute an attribute on first read and keep it on the instance.
-
-    The value is stored with ``object.__setattr__``: on CPython 3.11 reading
-    ``obj.__dict__`` to store it would build the instance's dict, 64 B on a
-    path, beside the attribute values the instance already holds.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.func.__name__, value)
-        return value
-
-
 class Path(_Value):
-    """Immutable up/down step sequence with derived height data."""
+    """Immutable up/down step sequence with derived height data, each value
+    computed on first read and kept in a slot that holds None until then."""
 
     __match_args__ = ("steps",)
+    __slots__ = ("steps", "_text", "_profile", "_low")
 
-    def __init__(self, steps: tuple[int, ...]):
+    def __new__(cls, steps: tuple[int, ...]):
         try:
             valid = _STEPS.issuperset(steps)
         except TypeError:  # an unhashable step, named by the loop below
@@ -119,7 +107,7 @@ class Path(_Value):
             for s in steps:
                 if s != U and s != D:
                     raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
-        self._set("steps", steps)
+        return _unchecked_path(steps)
 
     @classmethod
     def from_string(cls, text: str) -> "Path":
@@ -132,26 +120,34 @@ class Path(_Value):
     def length(self) -> int:
         return len(self.steps)
 
-    @_cached
+    @property
     def height_profile(self) -> tuple[int, ...]:
         """Heights after each step; the implicit starting height 0 is not included."""
-        return tuple(accumulate(self.steps))
+        profile = self._profile
+        if profile is None:
+            profile = tuple(accumulate(self.steps))
+            _set_profile(self, profile)
+        return profile
 
     @property
     def final_height(self) -> int:
         return sum(self.steps)
 
-    @_cached
+    @property
     def min_height(self) -> int:
         """Minimum over all prefix heights, including the starting 0."""
-        return min(accumulate(self.steps, initial=0))
-
-    @_cached
-    def _text(self) -> str:
-        return "".join(map(_step_char, self.steps))
+        low = self._low
+        if low is None:
+            low = min(accumulate(self.steps, initial=0))
+            _set_low(self, low)
+        return low
 
     def __str__(self) -> str:
-        return self._text
+        text = self._text
+        if text is None:
+            text = "".join(map(_step_char, self.steps))
+            _set_text(self, text)
+        return text
 
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
@@ -160,10 +156,16 @@ class Path(_Value):
         return len(self.steps)
 
 
+# A slot's own setter costs less to call than object.__setattr__.
+_set_steps, _set_text, _set_profile, _set_low = (
+    getattr(Path, name).__set__ for name in Path.__slots__
+)
+
+
 class MarkedPath(_Value):
     """A path together with one marked contiguous factor."""
 
-    __match_args__ = ("path", "mark_start", "mark_len")
+    __match_args__ = __slots__ = ("path", "mark_start", "mark_len")
 
     def __init__(self, path: Path, mark_start: int, mark_len: int):
         if mark_len < 1:
@@ -185,7 +187,7 @@ class MarkedPath(_Value):
 class Endpoint(_Value):
     """A reachable endpoint (a, b): a steps ending at height b."""
 
-    __match_args__ = ("a", "b")
+    __match_args__ = __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
         if a < 0 or a < abs(b):
@@ -209,9 +211,10 @@ def _unchecked_path(steps: tuple[int, ...], text: str | None = None) -> Path:
     built from the ``U`` and ``D`` constants or taken from checked paths.
     ``text``, when given, is the path's string, kept as if already read."""
     p = _new(Path)
-    p._set("steps", steps)
-    if text is not None:
-        p._set("_text", text)
+    _set_steps(p, steps)
+    _set_text(p, text)
+    _set_profile(p, None)
+    _set_low(p, None)
     return p
 
 

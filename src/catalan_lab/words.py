@@ -22,7 +22,7 @@ from .paths import D, U, Path, _Value, _require_dyck
 class Word(_Value):
     """Immutable Catalan word stored as a tuple of positive letters."""
 
-    __match_args__ = ("letters",)
+    __match_args__ = __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]):
         prev = 0
@@ -122,7 +122,7 @@ class StatId(_Value):
     ell >= 1. The other kinds take no ell.
     """
 
-    __match_args__ = ("kind", "ell")
+    __match_args__ = __slots__ = ("kind", "ell")
 
     def __init__(self, kind: StatKind, ell: int | None = None):
         if ell is not None:
@@ -275,23 +275,30 @@ def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
     return total
 
 
+# Hashing a kind or reading it off StatKind runs Python code: hash once at most.
+_PATTERN_KIND_TUPLE = tuple(PATTERN_KINDS)
+_AREA, _SEMI = StatKind.AREA, StatKind.SEMI
+_CORNER_HU, _CORNER_DH = StatKind.CORNER_HU, StatKind.CORNER_DH
+
+
 def stat_value(w: Word, s: StatId) -> int:
     """Value of statistic ``s`` on a single word."""
     kind = s.kind
-    if kind in PATTERN_KINDS:
+    if kind in _PATTERN_KIND_TUPLE:
         return _scan_patterns(w, kind, s.ell)
     letters = w.letters
-    if kind in _RUN_CONTINUES:
+    continues = _RUN_CONTINUES.get(kind)
+    if continues is not None:
         # every letter starts a run unless it continues the one before it
-        return len(letters) - sum(map(_RUN_CONTINUES[kind], letters[1:], letters))
-    if kind is StatKind.AREA:
+        return len(letters) - sum(map(continues, letters[1:], letters))
+    if kind is _AREA:
         return sum(letters)
     walk = _walk(letters)
-    if kind is StatKind.CORNER_HU:
+    if kind is _CORNER_HU:
         return walk.count("AU")
-    if kind is StatKind.CORNER_DH:
+    if kind is _CORNER_DH:
         return walk.count("DA")
-    if kind is StatKind.SEMI:
+    if kind is _SEMI:
         return len(letters) + walk.count("U")
     raise ValueError(f"unknown statistic {s!r}")
 

@@ -24,6 +24,7 @@ from catalan_lab import (
 )
 from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
+from catalan_lab.paths import _Value
 from catalan_lab.verify import Bijection
 
 
@@ -275,3 +276,22 @@ def test_path_names_cannot_be_assigned_or_deleted(name, read_first):
     assert (p.steps, p.min_height, p.height_profile, str(p)) == (
         (U, D, D, U), -1, (1, 0, -1, 0), "UDDU"
     )
+
+
+@pytest.mark.parametrize(("cls", "fields", "text"), FROZEN, ids=FROZEN_IDS)
+def test_no_instance_dict_after_every_read(cls, fields, text):
+    obj = _read_cached(cls(**fields))
+    for name in dir(obj):
+        if not name.startswith("__"):
+            getattr(obj, name)
+    str(obj), repr(obj), hash(obj)
+    assert not hasattr(obj, "__dict__")
+
+
+def test_every_frozen_class_is_listed():
+    frozen = {
+        cls
+        for cls in _Value.__subclasses__()
+        if cls.__module__.startswith("catalan_lab") and cls.__hash__ is not None
+    }
+    assert frozen == {cls for cls, _, _ in FROZEN}
