@@ -18,6 +18,7 @@ from .paths import (
     MarkedPath,
     Path,
     _Value,
+    _new,
     _rc,
     _require_dyck,
     _unchecked_path,
@@ -384,6 +385,21 @@ class AreaMark(_Value):
         return self.path.height_profile[self.up_index]
 
 
+_set_mark_path, _set_up_index, _set_j = (
+    getattr(AreaMark, name).__set__ for name in AreaMark.__slots__
+)
+
+
+def _area_mark(path: Path, up_index: int, j: int) -> AreaMark:
+    """An AreaMark without the checks, for marks known valid: those on the up
+    steps of enumerated Dyck paths, and the ones ``area_mark_decode`` rebuilds."""
+    am = _new(AreaMark)
+    _set_mark_path(am, path)
+    _set_up_index(am, up_index)
+    _set_j(am, j)
+    return am
+
+
 def area_mark_encode(am: AreaMark) -> Path:
     """Map an area mark to a path of the same length with negative endpoint.
 
@@ -394,8 +410,8 @@ def area_mark_encode(am: AreaMark) -> Path:
     step, and the reverse-complemented steps after s. The endpoint lands at
     -2j - 2 and the minimum at -(m + j + 1).
     """
-    steps, u = am.path.steps, am.up_index
-    s = am.path.height_profile.index(am.height - am.j - 1, u + 1)
+    steps, heights, u = am.path.steps, am.path.height_profile, am.up_index
+    s = heights.index(heights[u] - am.j - 1, u + 1)
     return _unchecked_path(
         steps[u + 1 : s] + (D,) + _rc(steps[:u]) + (D,) + _rc(steps[s + 1 :])
     )
@@ -407,6 +423,12 @@ def area_mark_decode(image: Path) -> AreaMark:
     The endpoint height -2j - 2 fixes j, the minimum -(m + j + 1) fixes m,
     and the leftmost vertices at heights -j - 1 and -(m + j + 1) flank the
     reverse-complemented head section.
+
+    Past these checks, head + U + chained + D + tail is a Dyck path, so the
+    mark skips AreaMark's checks. The head stays >= 0 and ends at m - 1: its
+    section ends at the first vertex at the minimum. The chained steps stay
+    >= m - j >= 1: they end before the first vertex at -j - 1, and j < m. The
+    tail, from m - j - 1, stays >= 0 and ends at m - j - 1 + low - final = 0.
     """
     if image.length == 0 or image.length % 2:
         raise ValueError("image paths have positive even length")
@@ -427,11 +449,10 @@ def area_mark_decode(image: Path) -> AreaMark:
     head = _rc(image.steps[a : b - 1])
     chained = image.steps[: a - 1]
     tail = _rc(image.steps[b:])
-    reconstructed = _unchecked_path(head + (U,) + chained + (D,) + tail)
-    am = AreaMark(reconstructed, len(head), j)
-    if am.height != m:
+    if sum(head) + 1 != m:  # the height of the marked up step
         raise ValueError("reconstructed mark height mismatch")
-    return am
+    reconstructed = _unchecked_path(head + (U,) + chained + (D,) + tail)
+    return _area_mark(reconstructed, len(head), j)
 
 
 def last_passage_class(lam: Path) -> tuple[str, int | None]:

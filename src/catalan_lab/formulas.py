@@ -27,13 +27,18 @@ from .words import StatId, StatKind
 # Each row keeps only its first half, C(m, i) for i <= m // 2: about 7 MB at
 # this limit. Beside it, binomial-product-sum memoizes C(m, k) * C(m-k, k),
 # each computed once; at most about 10 MB, once its top row reaches the limit.
+# Two running sums of the identities are memoized as prefix tables, each entry
+# stored only while its terms read rows up to the limit: _pair_sums and
+# _mark_sums, at most 322 and 321 entries, about 25 KB each.
 # Binomials along a diagonal, and their sums, never read the table past their
 # first term: _diagonal steps from term to term by the term ratio.
 PASCAL_ROW_LIMIT = 640
 
 _rows: list[list[int]] = [[1]]  # _rows[m][i] = C(m, i) for i <= m // 2
 _columns: list[list[int]] = []  # _columns[k][m - 2k] = C(m, k) * C(m-k, k)
-_rows_lock = threading.Lock()  # held while _rows or _columns grows
+_pair_sums: list[int] = [0, 0]  # _pair_sums[h] = _pair_sum(h)
+_mark_sums: list[int] = [0, 0, 0]  # _mark_sums[h] = sum of _mark_term(m), m < h
+_rows_lock = threading.Lock()  # held while _rows or a memo beside it grows
 
 
 def _pascal_row(n: int) -> list[int]:
@@ -47,6 +52,12 @@ def _pascal_row(n: int) -> list[int]:
                     row.append(2 * prev[-1])
                 _rows.append(row)
     return _rows[n]
+
+
+def _stored(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n from a row already built: it never takes
+    _rows_lock, so the prefix tables read it while they hold the lock."""
+    return _rows[n][k if 2 * k <= n else n - k]
 
 
 def binomial(n: int, k: int) -> int:
@@ -222,7 +233,7 @@ def dyck_count_by_ddu(n: int, k: int) -> int:
     if k not in _ddu_ks(n):
         return 0
     return _exact_div(
-        binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1), k + 1
+        binomial(n - 1, k) * binomial(n - k - 1, k) << n - 2 * k - 1, k + 1
     )
 
 
@@ -286,14 +297,32 @@ class Identity(_Value):
         self._set("ks", ks)
 
 
+def _running_sum(sums: list[int], term: Callable[..., int], reach: int, hi: int) -> int:
+    """``sums[hi]``, the sum of ``term(i, binomial)`` over i < hi, where term i
+    reads rows up to 2i + reach. Entries are stored while their terms read the
+    Pascal table; terms past the last stored entry are added to it unstored."""
+    last = max(min(hi, (PASCAL_ROW_LIMIT - reach) // 2 + 1), 0)
+    if last >= len(sums):
+        _pascal_row(2 * last - 2 + reach)  # before the lock: _pascal_row takes it too
+        # entries are appended fully built, under the lock, and never twice
+        with _rows_lock:
+            while len(sums) <= last:
+                sums.append(sums[-1] + term(len(sums) - 1, _stored))
+    return sum((term(i, binomial) for i in range(last, hi)), sums[last])
+
+
+def _pair_term(i: int, c: Callable[[int, int], int]) -> int:
+    return c(2 * i, i - 1) + c(2 * i - 1, i)
+
+
 def _pair_sum(hi: int) -> int:
     """Sum of C(2i, i-1) + C(2i-1, i) over 1 <= i < hi."""
-    return sum(binomial(2 * i, i - 1) + binomial(2 * i - 1, i) for i in range(1, hi))
+    return _running_sum(_pair_sums, _pair_term, 0, hi)
 
 
 def _catalan_peak_sum(n: int) -> tuple[int, int]:
     total = sum(
-        binomial(n, k) * binomial(n - k, k - 1) * 2 ** (n - 2 * k + 1)
+        binomial(n, k) * binomial(n - k, k - 1) << n - 2 * k + 1
         for k in range(1, (n + 1) // 2 + 1)
     )
     return catalan(n), _exact_div(total, n)
@@ -351,7 +380,7 @@ def _binomial_product_sum(n: int, k: int) -> tuple[int, int]:
             binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
             for m in range(top, 2 * k - 1, -1)
         )
-    return lhs, binomial(n - 1, k) * binomial(n - k - 1, k) * 2 ** (n - 2 * k - 1)
+    return lhs, binomial(n - 1, k) * binomial(n - k - 1, k) << n - 2 * k - 1
 
 
 def _semi_perimeter_split(n: int) -> tuple[int, int]:
@@ -367,12 +396,13 @@ def _semi_perimeter_split(n: int) -> tuple[int, int]:
     return lhs, short if mid == lhs else mid
 
 
+def _mark_term(m: int, c: Callable[[int, int], int]) -> int:
+    return _marked_high_ups(m, c(2 * m, m), c(2 * m + 2, m + 1))
+
+
 def _sym_valley_mark_sum(n: int) -> tuple[int, int]:
-    # the sym-valley:ell rows, m = n - ell - 1, summed over the nonzero ones
-    lhs = sum(
-        _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
-        for m in range(2, n - 1)
-    )
+    # the nonzero sym-valley:ell rows, m = n - ell - 1 for 2 <= m <= n - 2
+    lhs = _running_sum(_mark_sums, _mark_term, 2, n - 1)
     return lhs, closed_total(n, StatId(StatKind.SYM_VALLEY))
 
 

@@ -234,10 +234,10 @@ BIJECTIONS: dict[str, Bijection] = {
         inverse=bij.area_mark_decode,
         image=lambda n, dyck: negative_final_paths(n),
         marks=lambda p: [
-            bij.AreaMark(p, idx, j)
-            for idx, s in enumerate(p.steps)
+            bij._area_mark(p, idx, j)  # valid by construction: p is Dyck
+            for idx, (s, h) in enumerate(zip(p.steps, p.height_profile))
             if s == U
-            for j in range(p.height_profile[idx])
+            for j in range(h)
         ],
     ),
 }

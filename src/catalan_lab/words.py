@@ -229,6 +229,13 @@ def bargraph_path(w: Word) -> tuple[BarStep, ...]:
     return tuple(map(_BAR_STEPS.__getitem__, _walk(w.letters)))
 
 
+# Hashing a kind or reading it off StatKind runs Python code: hash once at most.
+_PATTERN_KIND_TUPLE = tuple(PATTERN_KINDS)
+_SYM_VALLEY, _ELL_VALLEY = StatKind.SYM_VALLEY, StatKind.ELL_VALLEY
+_SYM_PEAK, _AREA, _SEMI = StatKind.SYM_PEAK, StatKind.AREA, StatKind.SEMI
+_CORNER_HU, _CORNER_DH = StatKind.CORNER_HU, StatKind.CORNER_DH
+
+
 def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
     """Count pattern occurrences by direct inspection of every start index.
 
@@ -241,15 +248,15 @@ def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
     for i in range(n - 2):
         a = letters[i]
         mid = letters[i + 1]
-        if kind is StatKind.SYM_VALLEY:
+        if kind is _SYM_VALLEY:
             if a <= 1 or mid != a - 1:
                 continue
             want_end = a
-        elif kind is StatKind.ELL_VALLEY:
+        elif kind is _ELL_VALLEY:
             if mid >= a:
                 continue
             want_end = mid + 1
-        elif kind is StatKind.SYM_PEAK:
+        elif kind is _SYM_PEAK:
             if mid != a + 1:
                 continue
             want_end = a
@@ -273,12 +280,6 @@ def _scan_patterns(w: Word, kind: StatKind, ell: int | None) -> int:
         if ell is None or ell == run:
             total += 1
     return total
-
-
-# Hashing a kind or reading it off StatKind runs Python code: hash once at most.
-_PATTERN_KIND_TUPLE = tuple(PATTERN_KINDS)
-_AREA, _SEMI = StatKind.AREA, StatKind.SEMI
-_CORNER_HU, _CORNER_DH = StatKind.CORNER_HU, StatKind.CORNER_DH
 
 
 def stat_value(w: Word, s: StatId) -> int:

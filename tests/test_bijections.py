@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -457,6 +458,27 @@ class TestAreaMap:
     def test_decode_rejects_nonnegative_final(self):
         with pytest.raises(ValueError):
             area_mark_decode(P("UD"))
+
+    def test_decode_pinned_on_every_short_path(self):
+        # every step sequence of length <= 14: the digest of each mark's repr,
+        # or of each error, pins the decoder's results and messages
+        digest, marks = hashlib.sha256(), 0
+        for length in range(15):
+            for steps in itertools.product((U, D), repeat=length):
+                p = Path(steps)
+                try:
+                    am = area_mark_decode(p)
+                except Exception as exc:  # noqa: BLE001 - its message is pinned
+                    line = f"{type(exc).__name__}: {exc}"
+                else:
+                    line, marks = repr(am), marks + 1
+                    assert AreaMark(am.path, am.up_index, am.j) == am
+                    assert area_mark_encode(am) == p
+                digest.update(line.encode() + b"\n")
+        assert marks == 8569  # the paths of length <= 14 with negative even end
+        assert digest.hexdigest() == (
+            "8e87b055c4257ae5fd96c2c15d571a80017afa38bd500cb8a489f765f8637d2c"
+        )
 
     @staticmethod
     def block_encode(am):

@@ -1,5 +1,9 @@
 import ast
 import math
+import subprocess
+import sys
+import threading
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -489,6 +493,104 @@ class TestIdentities:
             identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, 5)
         with pytest.raises(ValueError):
             identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, 5, 3)
+
+
+def literal_pair_sums(top):
+    """_pair_sum(h) for h = 0..top, from math.comb."""
+    terms = [math.comb(2 * i, i - 1) + math.comb(2 * i - 1, i) for i in range(1, top)]
+    return [0, *accumulate(terms, initial=0)]
+
+
+def literal_mark_sums(top):
+    """For h = 0..top, from math.comb: the paths of length 2m with a marked up
+    step ending at height >= 2, summed over 2 <= m < h."""
+    cat = [math.comb(2 * m, m) // (m + 1) for m in range(top + 1)]
+    terms = [m * cat[m] - (cat[m + 1] - cat[m]) for m in range(2, top)]
+    return [0, 0, *accumulate(terms, initial=0)]
+
+
+# both memoized running sums, as their first call in a fresh interpreter
+FIRST_CALL = """
+import sys
+from catalan_lab import formulas
+assert len(formulas._rows) == 1  # no Pascal row built yet
+print(formulas.identity_check(formulas.IdentityId[sys.argv[1]], 300).holds)
+"""
+
+
+class TestPrefixTables:
+    """The running sums of last-passage-sum, sym-valley-sum and
+    sym-valley-mark-sum, memoized beside the Pascal table."""
+
+    @pytest.fixture
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_pair_sums", [0, 0])
+        monkeypatch.setattr(formulas, "_mark_sums", [0, 0, 0])
+
+    @pytest.mark.parametrize("ident", ["SYM_VALLEY_MARK_SUM", "LAST_PASSAGE_SUM"])
+    def test_first_call_in_a_fresh_process_returns(self, ident):
+        # the rows a table reads are built before it takes the rows' lock
+        proc = subprocess.run(
+            [sys.executable, "-c", FIRST_CALL, ident],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "True"
+
+    def test_pair_sums_asked_in_descending_order(self, fresh_tables):
+        literal = literal_pair_sums(400)
+        for hi in range(400, -1, -1):
+            assert formulas._pair_sum(hi) == literal[hi], hi
+
+    def test_mark_sums_asked_in_descending_order(self, fresh_tables):
+        literal = literal_mark_sums(300)
+        for n in range(300, 0, -1):  # the lhs sums over 2 <= m <= n - 2
+            res = identity_check(IdentityId.SYM_VALLEY_MARK_SUM, n)
+            assert res.lhs == literal[n - 1] and res.holds, n
+
+    def test_concurrent_growth(self, fresh_tables, monkeypatch):
+        monkeypatch.setattr(formulas, "_rows", [[1]])
+        sizes = range(3, 200)
+        idents = [
+            IdentityId.LAST_PASSAGE_SUM,
+            IdentityId.SYM_VALLEY_SUM,
+            IdentityId.SYM_VALLEY_MARK_SUM,
+        ]
+        errors = []
+
+        def worker(shift):
+            try:  # each thread starts the sweep at another n
+                for n in [*sizes[shift:], *sizes[:shift]]:
+                    for ident in idents:
+                        if not identity_check(ident, n).holds:
+                            errors.append((ident, n))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(16 * t,)) for t in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        # every entry appended once, in order, up to the largest n asked
+        top = sizes[-1]
+        assert formulas._pair_sums == literal_pair_sums(top)
+        assert formulas._mark_sums == literal_mark_sums(top - 1)
+
+    def test_tables_stop_at_their_caps(self, fresh_tables):
+        n = 2000
+        assert identity_check(IdentityId.LAST_PASSAGE_SUM, n).holds
+        assert identity_check(IdentityId.SYM_VALLEY_MARK_SUM, n).holds
+        # entries are stored while their terms read rows up to the limit
+        assert len(formulas._rows) <= PASCAL_ROW_LIMIT + 1
+        assert len(formulas._pair_sums) == PASCAL_ROW_LIMIT // 2 + 2
+        assert len(formulas._mark_sums) == PASCAL_ROW_LIMIT // 2 + 1
 
 
 class TestOracleAgreement:
