@@ -60,6 +60,21 @@ from catalan_lab.verify import (
 P = Path.from_string
 
 
+def results_digest(results) -> str:
+    """The sha256 of one line per result: its repr, or the error it raised.
+
+    ``results`` yields callables; each is called once, in order.
+    """
+    digest = hashlib.sha256()
+    for result in results:
+        try:
+            line = repr(result())
+        except Exception as exc:  # noqa: BLE001 - its message is pinned
+            line = f"{type(exc).__name__}: {exc}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestReflectAfterTouch:
     def test_worked_example(self):
         assert str(reflect_after_touch(P("DUUUU"), -1)) == "DDDDD"
@@ -254,6 +269,23 @@ class TestLowPathMap:
         with pytest.raises(ValueError):
             low_path_to_dyck(P("UD" + "D"))
 
+    def test_forward_pinned_on_every_balanced_path(self):
+        # every balanced path of length 2n - 2, n <= 10, the deep ones with
+        # their error
+        balanced = (p for n in range(1, 11) for p in enumerate_lattice(2 * n - 2, 0))
+        digest = results_digest(lambda p=p: low_path_to_dyck(p) for p in balanced)
+        assert digest == (
+            "34c3bc9060a501894739a994034793a97552337a786f95b3db00236d4edb1a88"
+        )
+
+    def test_inverse_pinned_on_every_dyck_path(self):
+        # every Dyck path with n <= 10, the empty one with its error
+        dyck = (p for n in range(11) for p in enumerate_dyck(n))
+        digest = results_digest(lambda p=p: dyck_to_low_path(p) for p in dyck)
+        assert digest == (
+            "cd23d92ae0317441eeff2832514b86306f46205d37347198639007aa6a3a93a0"
+        )
+
 
 class TestRaney:
     def test_examples(self):
@@ -414,6 +446,14 @@ class TestInsertRemoveUd:
         with pytest.raises(ValueError):
             insert_ud(P("UUDD"), [2])
 
+    def test_remove_pinned_on_every_dyck_path(self):
+        # every Dyck path with n <= 10: each precursor and its positions
+        dyck = (p for n in range(11) for p in enumerate_dyck(n))
+        digest = results_digest(lambda p=p: remove_ud(p) for p in dyck)
+        assert digest == (
+            "e4351566efedd21c8d1550c8edc22538d0b34eb1f3d0f1dcdc8e193a86a96987"
+        )
+
 
 class TestAreaMap:
     def test_mark_u2_examples(self):
@@ -537,6 +577,14 @@ class TestLastPassage:
     def test_wrong_endpoint(self):
         with pytest.raises(ValueError):
             last_passage_class(P("UU"))
+
+    def test_pinned_on_every_path_ending_at_one(self):
+        # every path of length 2n - 1 ending at height 1, n <= 8
+        lams = (lam for n in range(1, 9) for lam in enumerate_lattice(2 * n - 1, 1))
+        digest = results_digest(lambda lam=lam: last_passage_class(lam) for lam in lams)
+        assert digest == (
+            "1779ceeb8f8dd58639e65e350baa241707b3327b28f337d473494002f9b19618"
+        )
 
 
 class TestSampler:

@@ -158,6 +158,18 @@ def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
     ]
 
 
+def test_deep_valley_count_is_the_papers_sum():
+    # the paper's deep valleys, U D^j U U for every j >= 2; no D run of a
+    # Dyck path of size n is longer than n
+    count = FACTOR_COUNTS["deep-valley"]
+    for n in range(11):
+        for p in paths.enumerate_dyck(n):
+            deep = sum(
+                paths.count_factor(p, (U,) + (D,) * j + (U, U)) for j in range(2, n + 1)
+            )
+            assert count(p) == deep, p
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_negative_final_paths_in_order(n):
     steps = itertools.product((U, D), repeat=2 * n)
