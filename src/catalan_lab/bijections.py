@@ -23,6 +23,7 @@ from .paths import (
     _require_dyck,
     _unchecked_path,
     ddu_udu_counts,
+    factor_occurrences,
     is_dyck,
     random_dyck_path,  # noqa: F401
     raney_shift,  # noqa: F401
@@ -161,54 +162,22 @@ def sym_valley_remove(mp: MarkedPath) -> tuple[MarkedPath, int]:
 def low_path_to_dyck(p: Path) -> Path:
     """Bijection from balanced paths staying at or above level -1 to Dyck paths.
 
-    A path that never dips below the axis maps to U + path + D. Otherwise
-    every dip is an isolated D U excursion; wrapping the segments between
-    excursions as units gives a Dyck path one size larger with at least two
-    units, which keeps the two branches disjoint.
+    The image is U + path + D: the wrap lifts the path one level, so each
+    dip D U below the axis becomes a return to it.
     """
     if p.final_height != 0:
         raise ValueError("path must end at height 0")
     if p.min_height < -1:
         raise ValueError("path dips below level -1")
-    if p.min_height >= 0:
-        return _unchecked_path((U,) + p.steps + (D,))
-    segments: list[tuple[int, ...]] = []
-    cur: list[int] = []
-    h = 0
-    i = 0
-    while i < len(p.steps):
-        if p.steps[i] == D and h == 0:
-            segments.append(tuple(cur))
-            cur = []
-            i += 2  # the dip is D then immediately U
-            continue
-        cur.append(p.steps[i])
-        h += p.steps[i]
-        i += 1
-    segments.append(tuple(cur))
-    out: list[int] = []
-    for seg in segments:
-        out.append(U)
-        out.extend(seg)
-        out.append(D)
-    return _unchecked_path(tuple(out))
+    return _unchecked_path((U,) + p.steps + (D,))
 
 
 def dyck_to_low_path(dp: Path) -> Path:
-    """Inverse of low_path_to_dyck, branching on the unit count."""
+    """Inverse of low_path_to_dyck: the path without its first and last steps."""
     _require_dyck(dp)
     if dp.length == 0:
         raise ValueError("expected a nonempty Dyck path")
-    spans = units(dp)
-    interiors = [dp.steps[s + 1 : e - 1] for s, e in spans]
-    if len(spans) == 1:
-        return _unchecked_path(interiors[0])
-    out = list(interiors[0])
-    for seg in interiors[1:]:
-        out.append(D)
-        out.append(U)
-        out.extend(seg)
-    return _unchecked_path(tuple(out))
+    return _unchecked_path(dp.steps[1:-1])
 
 
 class PeakVector(_Value):
@@ -335,25 +304,23 @@ def insert_ud(precursor: Path, positions: Sequence[int]) -> Path:
 def remove_ud(p: Path) -> tuple[Path, tuple[int, ...]]:
     """Strip inserted U D factors; inverse of insert_ud.
 
-    Repeatedly deletes the U D opening the leftmost UDU occurrence. Each
-    deletion happens at or right of the previous one, so counting the up
-    steps left of the deletion point indexes the insertion position in the
-    final precursor.
+    Deletes the U D opening every UDU occurrence, overlapping ones included.
+    A deletion never creates a new UDU, so one pass finds them all, and the
+    up steps kept left of a deletion point index its insertion position in
+    the precursor.
     """
     _require_dyck(p)
-    steps = list(p.steps)
+    steps, text = p.steps, str(p)
+    kept: list[int] = []
     positions = []
-    while True:
-        target = None
-        for i in range(len(steps) - 2):
-            if steps[i] == U and steps[i + 1] == D and steps[i + 2] == U:
-                target = i
-                break
-        if target is None:
-            break
-        positions.append(sum(1 for s in steps[:target] if s == U))
-        del steps[target : target + 2]
-    return _unchecked_path(tuple(steps)), tuple(sorted(positions))
+    ups = start = 0
+    for i in factor_occurrences(p, (U, D, U)):
+        ups += text.count("U", start, i)
+        positions.append(ups)
+        kept += steps[start:i]
+        start = i + 2
+    kept += steps[start:]
+    return _unchecked_path(tuple(kept)), tuple(positions)
 
 
 class AreaMark(_Value):
@@ -468,13 +435,10 @@ def last_passage_class(lam: Path) -> tuple[str, int | None]:
     if lam.steps == (U, D) * (n - 1) + (U,):
         return ("exceptional", None)
     heights = (0,) + lam.height_profile
-    best: tuple[int, str] | None = None
-    for i in range(1, n):
+    for i in range(n - 1, 0, -1):
         # at most one of the two passages can happen for a given i
         if heights[2 * i] == 2:
-            best = (i, "through-two")
+            return ("through-two", i)
         if heights[2 * i - 1] == -1:
-            best = (i, "through-minus-one")
-    if best is None:
-        raise ValueError("path has no last passage and is not the sawtooth")
-    return (best[1], best[0])
+            return ("through-minus-one", i)
+    raise ValueError("path has no last passage and is not the sawtooth")

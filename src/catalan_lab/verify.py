@@ -86,15 +86,12 @@ def marked_set(
     pattern: Sequence[int],
     *,
     min_end_height: int | None = None,
-    terminal: bool | None = None,
 ) -> list[MarkedPath]:
     """All marked occurrences of a factor across a family of paths."""
     pattern = tuple(pattern)
     out = []
     for p in paths:
-        for i in factor_occurrences(
-            p, pattern, min_end_height=min_end_height, terminal=terminal
-        ):
+        for i in factor_occurrences(p, pattern, min_end_height=min_end_height):
             out.append(MarkedPath(p, i, len(pattern)))
     return out
 
@@ -107,9 +104,9 @@ FACTOR_COUNTS: dict[str, Callable[[Path], int]] = {
     "udu": lambda p: count_factor(p, (U, D, U)),
     "uuddu": lambda p: count_factor(p, (U, U, D, D, U)),
     "uudd non-terminal": lambda p: count_factor(p, (U, U, D, D), terminal=False),
-    "deep-valley": lambda p: sum(
-        count_factor(p, (U,) + (D,) * j + (U, U)) for j in range(2, p.length)
-    ),
+    # the paper's U D^j U U for j >= 2: on a Dyck path every run of D steps
+    # follows a U, so each D D U U ends exactly one of them
+    "deep-valley": lambda p: count_factor(p, (D, D, U, U)),
 }
 
 
@@ -420,7 +417,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         )
         rpt.check(f"first-quadrant endpoint-1 paths n={n}", C(n), quadrant)
     for m in range(1, n_max):
-        multi_unit = sum(1 for q in dyck[m + 1] if len(units(q)) >= 2)
+        multi_unit = image_sizes["marked-unit", m]
         rpt.check(f"marked-unit image count m={m}", C(m + 1) - C(m), multi_unit)
     for n in range(1, min(n_max, 8) + 1):
         area = closed(n, "area")
