@@ -803,3 +803,70 @@ def test_images_are_held_as_the_expected_paths():
     assert rpt.failures == []
     ((_, _, got),) = [c for c in rpt.checks if c[0] == "copy image set"]
     assert {id(q) for q in got} == {id(p) for p in expected}
+
+
+# Each split-reverse entry's image class: the paths of 2n - c steps that end
+# at height b and reach height `lowest`, for (c, b, lowest).
+SPLIT_REVERSE_CLASSES = {
+    "uu": (1, 1, -1),
+    "udu": (2, 0, -1),
+    "ddu": (2, -2, -3),
+    "uuddu": (4, 2, 0),
+    "high-up": (4, 2, -1),
+    "high-down": (4, -2, -4),
+}
+
+
+def enumerated_image(name, n, dyck):
+    """The image class of a ``BIJECTIONS`` entry at size ``n``, enumerated in
+    lexicographic order (U before D), or None when it is empty."""
+    if name == "low-path":
+        return dyck[n]
+    if name == "marked-unit":
+        return [q for q in dyck[n + 1] if len(units(q)) >= 2]
+    if name == "area":
+        steps = itertools.product((U, D), repeat=2 * n)
+        return [Path(s) for s in steps if sum(s) < 0]
+    c, b, lowest = SPLIT_REVERSE_CLASSES[name]
+    a = 2 * n - c
+    if a < abs(b):
+        return None
+    return [q for q in enumerate_lattice(a, b) if q.min_height <= lowest]
+
+
+def test_split_reverse_classes_cover_the_table():
+    assert set(SPLIT_REVERSE_CLASSES) | {"low-path", "marked-unit", "area"} == set(
+        BIJECTIONS
+    )
+
+
+@pytest.mark.parametrize("name", list(BIJECTIONS))
+def test_image_sizes_match_the_enumerated_classes(name):
+    entry = BIJECTIONS[name]
+    dyck = {m: list(enumerate_dyck(m)) for m in range(10)}
+    for n in entry.sizes(8):
+        expected = enumerated_image(name, n, dyck)
+        image = entry.image(n, dyck)
+        if expected is None:
+            assert image is None, n
+        else:
+            assert len(image) == len(expected), n
+
+
+def test_bijection_check_descriptions_pinned(monkeypatch):
+    # the 481 check descriptions of verify_bijections(8), in order
+    descriptions = []
+    check = VerifyReport.check
+
+    def recording(self, description, expected, got):
+        descriptions.append(description)
+        check(self, description, expected, got)
+
+    monkeypatch.setattr(VerifyReport, "check", recording)
+    report = verify_bijections(8)
+    assert report.passed, report.to_text()
+    assert len(descriptions) == 481
+    digest = hashlib.sha256("\n".join(descriptions).encode()).hexdigest()
+    assert digest == (
+        "1e7f310d851c1c34e26aa22f996ce1d4daa3eb66b39eb0b4a9ee39dee0140277"
+    )
