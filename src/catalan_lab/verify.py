@@ -27,6 +27,7 @@ from .paths import (
     enumerate_dyck,
     enumerate_lattice,
     factor_occurrences,
+    is_dyck,
     reverse_complement,
     units,
 )
@@ -111,19 +112,79 @@ FACTOR_COUNTS: dict[str, Callable[[Path], int]] = {
 
 
 def negative_final_paths(n: int) -> list[Path]:
-    """All length-2n up/down paths with negative final height."""
+    """All length-2n up/down paths with negative final height, in order (U
+    before D): the area map's image class written out. The bijection suite
+    checks that map against ``PathClass`` instead and never builds this list."""
     steps = itertools.product((U, D), repeat=2 * n)
     return [_unchecked_path(s) for s in steps if sum(s) < 0]
+
+
+def _walk_counts(a: int, floor: int | None = None) -> Counter[int]:
+    """The number of ``a``-step paths that end at each height and never go
+    below ``floor``, counted step by step over the heights. Every path starts
+    at height 0, so none stays above a positive floor."""
+    ends = Counter() if floor is not None and floor > 0 else Counter({0: 1})
+    for _ in range(a):
+        steps = Counter()
+        for h, count in ends.items():
+            steps[h + 1] += count
+            if floor is None or h > floor:
+                steps[h - 1] += count
+        ends = steps
+    return ends
+
+
+class PathClass(_Value):
+    """The paths of ``length`` steps that ``member`` accepts, ``size`` of them.
+
+    ``size`` is counted without the map it checks and without ``formulas``,
+    as the bijection suite compares it with closed forms.
+    """
+
+    __match_args__ = __slots__ = ("length", "member", "size")
+
+    def __init__(self, length: int, member: Callable[[Path], bool], size: int):
+        self._set("length", length)
+        self._set("member", member)
+        self._set("size", size)
+
+
+class ImageRecord(_Value):
+    """How the images of a map miss its class: the numbers of distinct stray
+    images, outside the class, and of class paths no input reaches, with the
+    first few of each. A map onto its class has ``ONTO``."""
+
+    __match_args__ = __slots__ = ("strays", "missing", "first_strays", "first_missing")
+
+    def __init__(
+        self,
+        strays: int,
+        missing: int,
+        first_strays: tuple[Path, ...] = (),
+        first_missing: tuple[Path, ...] = (),
+    ):
+        self._set("strays", strays)
+        self._set("missing", missing)
+        self._set("first_strays", first_strays)
+        self._set("first_missing", first_missing)
+
+
+ONTO = ImageRecord(0, 0)
+_FEW = 3  # stray and missing paths an image record shows
+_TO_BITS = str.maketrans("UD", "10")
+_TO_STEPS = str.maketrans("10", "UD")
 
 
 class Bijection(_Value):
     """A map that the bijection suite and the random round trips both check.
 
     ``label`` is a template over ``n``, run at the sizes ``sizes(n_max)``.
-    ``image(n, dyck)`` enumerates the expected image, or is ``None`` when its
-    endpoint class is empty. Inputs that are marks on Dyck paths come from
-    ``marks(p)``, over ``dyck[n - shift]`` or on ``random_dyck_path(n)``;
-    other inputs come from ``domain(n)`` and ``draw_input(n, rng)``.
+    ``image(n, dyck)`` is the ``PathClass`` the map should be onto, or
+    ``None`` when its endpoint class is empty; it may count the class over
+    the Dyck paths ``dyck``, never through the map. Inputs that are marks on
+    Dyck paths come from ``marks(p)``, over ``dyck[n - shift]`` or on
+    ``random_dyck_path(n)``; other inputs come from ``domain(n)`` and
+    ``draw_input(n, rng)``.
     """
 
     __match_args__ = __slots__ = (
@@ -137,7 +198,7 @@ class Bijection(_Value):
         sizes: Callable[[int], range],
         forward: Callable,
         inverse: Callable,
-        image: Callable[[int, dict[int, list[Path]]], list[Path] | None],
+        image: Callable[[int, dict[int, list[Path]]], PathClass | None],
         marks: Callable[[Path], list] | None = None,
         shift: int = 0,
         domain: Callable[[int], list] | None = None,
@@ -173,14 +234,18 @@ class Bijection(_Value):
 def _split_reverse(name, pattern, survivor, end, lowest, shift=0, **filters):
     """Marks of ``pattern`` against the image paths that reach ``lowest``.
 
-    The image paths have 2n - c steps and end at height b, for (c, b) = end.
+    The image paths have 2n - c steps and end at height b, for (c, b) = end;
+    those that reach ``lowest`` are all of them but the ones kept above it.
     """
 
-    def image(n: int, dyck) -> list[Path] | None:
+    def image(n: int, dyck) -> PathClass | None:
         a, b = 2 * n - end[0], end[1]
         if a < abs(b):
             return None
-        return [q for q in enumerate_lattice(a, b) if q.min_height <= lowest]
+        size = _walk_counts(a)[b] - _walk_counts(a, lowest + 1)[b]
+        return PathClass(
+            a, lambda q: q.final_height == b and q.min_height <= lowest, size
+        )
 
     return Bijection(
         label=f"split-reverse {name} n={{n}}",
@@ -193,6 +258,10 @@ def _split_reverse(name, pattern, survivor, end, lowest, shift=0, **filters):
     )
 
 
+def _has_two_units(q: Path) -> bool:
+    return is_dyck(q) and len(units(q)) >= 2
+
+
 BIJECTIONS: dict[str, Bijection] = {
     # balanced paths staying above level -2 match Dyck paths one size up
     "low-path": Bijection(
@@ -200,7 +269,7 @@ BIJECTIONS: dict[str, Bijection] = {
         sizes=lambda n_max: range(1, n_max + 1),
         forward=bij.low_path_to_dyck,
         inverse=bij.dyck_to_low_path,
-        image=lambda n, dyck: dyck[n],
+        image=lambda n, dyck: PathClass(2 * n, is_dyck, len(dyck[n])),
         domain=lambda n: [
             p for p in enumerate_lattice(2 * n - 2, 0) if p.min_height >= -1
         ],
@@ -212,7 +281,9 @@ BIJECTIONS: dict[str, Bijection] = {
         sizes=lambda n_max: range(1, n_max),
         forward=lambda mark: bij.lift_marked_unit(*mark),
         inverse=bij.drop_marked_unit,
-        image=lambda m, dyck: [q for q in dyck[m + 1] if len(units(q)) >= 2],
+        image=lambda m, dyck: PathClass(
+            2 * m + 2, _has_two_units, sum(map(_has_two_units, dyck[m + 1]))
+        ),
         marks=lambda p: [(p, idx) for idx in range(1, len(units(p)) + 1)],
     ),
     # a marked factor shrinks to one surviving step between the
@@ -229,7 +300,11 @@ BIJECTIONS: dict[str, Bijection] = {
         sizes=lambda n_max: range(1, min(n_max, 8) + 1),
         forward=bij.area_mark_encode,
         inverse=bij.area_mark_decode,
-        image=lambda n, dyck: negative_final_paths(n),
+        image=lambda n, dyck: PathClass(
+            2 * n,
+            lambda q: q.final_height < 0,
+            sum(count for h, count in _walk_counts(2 * n).items() if h < 0),
+        ),
         marks=lambda p: [
             bij._area_mark(p, idx, j)  # valid by construction: p is Dyck
             for idx, (s, h) in enumerate(zip(p.steps, p.height_profile))
@@ -268,10 +343,10 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         rpt.check(f"word/path round trips n={n}", 0, errors)
         rpt.check(f"word/path image n={n}", set(dyck[n]), set(images))
 
-    image_sizes = {}  # (entry name, n) -> number of expected image paths
+    sizes = {}  # (entry name, n) -> numbers of inputs and of image class paths
     for name, entry in BIJECTIONS.items():
         for n in entry.sizes(n_max):
-            image_sizes[name, n] = _check_entry(rpt, entry, n, dyck)
+            sizes[name, n] = _check_entry(rpt, entry, n, dyck)
 
     for n in range(4, n_max + 1):
         # inserting the valley factor after high up steps hits every occurrence
@@ -288,11 +363,13 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
                 marked_set(dyck[n], bij.sym_valley_pattern(ell)),
             )
 
+    # the (ddu, udu) counts of every Dyck path, read by the next two blocks
+    profiles = {p: ddu_udu_counts(p) for m in range(n_max + 1) for p in dyck[m]}
     for n in range(1, n_max + 1):
         # run-length vectors of UDU-free paths and the slot-fill covering
         by_k: dict[int, list[Path]] = {}
         for p in dyck[n]:
-            k, j = ddu_udu_counts(p)
+            k, j = profiles[p]
             if j == 0:
                 by_k.setdefault(k, []).append(p)
         errors = 0
@@ -322,12 +399,11 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         errors = 0
         for p in dyck[n]:
             pre, pos = bij.remove_ud(p)
-            k_pre, j_pre = ddu_udu_counts(pre)
-            k_p, j_p = ddu_udu_counts(p)
+            k, j = profiles[p]
+            # a precursor that is not a Dyck path has no profile
             if (
-                j_pre != 0
-                or k_pre != k_p
-                or len(pos) != j_p
+                profiles.get(pre) != (k, 0)
+                or len(pos) != j
                 or bij.insert_ud(pre, pos) != p
             ):
                 errors += 1
@@ -337,7 +413,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         for j in range(n):
             m = n - j
             for pre in dyck[m]:
-                if ddu_udu_counts(pre)[1] != 0:
+                if profiles[pre][1] != 0:
                     continue
                 for pos in itertools.combinations_with_replacement(range(m), j):
                     q = bij.insert_ud(pre, pos)
@@ -408,20 +484,17 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         rpt.check(
             f"high up marks n={n}", n * C(n) - (C(n + 1) - C(n)), high_ups
         )
-        deep = sum(
-            1 for p in enumerate_lattice(2 * n - 2, 0) if p.min_height <= -2
-        )
+        # the balanced paths that go below -1 are those the low-path map skips
+        deep = _walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]
         rpt.check(f"deep balanced paths n={n}", B(2 * n - 2, n - 3), deep)
-        quadrant = sum(
-            1 for p in enumerate_lattice(2 * n - 1, 1) if p.min_height >= 0
-        )
+        quadrant = _walk_counts(2 * n - 1, 0)[1]
         rpt.check(f"first-quadrant endpoint-1 paths n={n}", C(n), quadrant)
     for m in range(1, n_max):
-        multi_unit = image_sizes["marked-unit", m]
+        multi_unit = sizes["marked-unit", m][1]
         rpt.check(f"marked-unit image count m={m}", C(m + 1) - C(m), multi_unit)
     for n in range(1, min(n_max, 8) + 1):
         area = closed(n, "area")
-        rpt.check(f"negative-final path count n={n}", area, image_sizes["area", n])
+        rpt.check(f"negative-final path count n={n}", area, sizes["area", n][1])
         phi_total = sum(
             h for p in dyck[n] for s, h in zip(p.steps, p.height_profile) if s == U
         )
@@ -456,20 +529,60 @@ def _check_map(rpt, label, domain, forward, inverse, expected) -> tuple[int, int
     return count, len(canonical)
 
 
-def _check_entry(rpt, entry: Bijection, n: int, dyck) -> int:
-    """Check one ``BIJECTIONS`` entry at size ``n``; return the number of its
-    expected image paths. Inputs are streamed, and images freed on return."""
+def _check_entry(rpt, entry: Bijection, n: int, dyck) -> tuple[int, int]:
+    """Check one ``BIJECTIONS`` entry at size ``n``; return the numbers of its
+    inputs and of the paths in its image class.
+
+    Each image in the class is ranked as its U/D text read in binary, U = 1
+    and D = 0, and marked in a bitmap of one byte per path of the class
+    length; no image is kept. The map is onto its class when no image is a
+    stray, no rank repeats and there are as many inputs as class paths. The
+    strays are kept, for the record, and the missing paths are unranked from
+    the bitmap's zeros only when there are some.
+    """
     label = entry.label.format(n=n)
     domain = entry._stream(n, dyck)
-    expected = entry.image(n, dyck)
-    if expected is None:
+    image = entry.image(n, dyck)
+    if image is None:
         rpt.check(f"{label}: empty domain", 0, sum(1 for _ in domain))
-        return 0
-    sizes = _check_map(
-        rpt, label + ": {}", domain, entry.forward, entry.inverse, expected
-    )
-    rpt.check(f"{label}: domain size", *sizes)
-    return sizes[1]
+        return 0, 0
+    length, member = image.length, image.member
+    seen = bytearray(1 << length)
+    strays: dict[Path, None] = {}  # in the order they were met
+    errors = count = 0
+    for x in domain:
+        q = entry.forward(x)
+        if len(q) == length and member(q):
+            seen[int(str(q).translate(_TO_BITS), 2)] = 1
+        else:
+            strays[q] = None
+        errors += entry.inverse(q) != x
+        count += 1
+    ranked = seen.count(1)
+    rpt.check(f"{label}: images distinct", count, ranked + len(strays))
+    missing = image.size - ranked
+    record = ONTO
+    if strays or missing:
+        first_missing = _unmarked(seen, image) if missing > 0 else ()
+        first_strays = tuple(itertools.islice(strays, _FEW))
+        record = ImageRecord(len(strays), missing, first_strays, first_missing)
+    rpt.check(f"{label}: image set", ONTO, record)
+    rpt.check(f"{label}: round trips", 0, errors)
+    rpt.check(f"{label}: domain size", count, image.size)
+    return count, image.size
+
+
+def _unmarked(seen: bytearray, image: PathClass) -> tuple[Path, ...]:
+    """The first few class paths, in order (U before D), whose rank is not
+    marked in ``seen``."""
+    found = []
+    r = len(seen)
+    while len(found) < _FEW and (r := seen.rfind(0, 0, r)) >= 0:
+        text = format(r, f"0{image.length}b").translate(_TO_STEPS)
+        q = Path.from_string(text)
+        if image.member(q):
+            found.append(q)
+    return tuple(found)
 
 
 def _weak_compositions(total: int, parts: int):

@@ -47,9 +47,12 @@ from catalan_lab import (
     sym_valley_remove,
     units,
 )
+from catalan_lab import formulas
 from catalan_lab.verify import (
     BIJECTIONS,
+    ONTO,
     Bijection,
+    ImageRecord,
     VerifyReport,
     _check_entry,
     _check_map,
@@ -736,13 +739,15 @@ def test_collapsed_forward_fails_only_its_entry(monkeypatch, name):
     for n in entry.sizes(6):
         inputs = entry.inputs(n, dyck)
         first.update((x, inputs[0]) for x in inputs)
-        image = entry.image(n, dyck)
-        if image is None or len(inputs) < 2:
+        if entry.image(n, dyck) is None or len(inputs) < 2:
             continue
         label = entry.label.format(n=n)
+        hit = entry.forward(inputs[0])
+        missing = [q for q in enumerated_image(name, n, dyck) if q != hit]
+        record = ImageRecord(0, len(missing), (), tuple(missing[:3]))
         expected += [
             (f"{label}: images distinct", len(inputs), 1),
-            (f"{label}: image set", set(image), {entry.forward(inputs[0])}),
+            (f"{label}: image set", ONTO, record),
             (f"{label}: round trips", 0, len(inputs) - 1),
         ]
     collapsed = replaced(entry, forward=lambda x: entry.forward(first[x]))
@@ -764,30 +769,127 @@ class RecordingReport(VerifyReport):
         self.checks.append((description, expected, got))
 
 
+def uu_checks(n=5):
+    """The ``uu`` entry at size ``n``, the Dyck paths it reads and its inputs."""
+    dyck = {m: list(enumerate_dyck(m)) for m in range(n + 1)}
+    return BIJECTIONS["uu"], dyck, BIJECTIONS["uu"].inputs(n, dyck)
+
+
 def test_stray_image_records_each_check():
     # one input goes to a path that ends below zero, outside the uu class
-    entry, n = BIJECTIONS["uu"], 5
-    dyck = {m: list(enumerate_dyck(m)) for m in range(n + 1)}
-    inputs = entry.inputs(n, dyck)
-    image = set(entry.image(n, dyck))
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    image = enumerated_image("uu", n, dyck)
     stray = P("D" + "UD" * (n - 1))
     assert stray not in image
     rpt = RecordingReport()
     moved = replaced(
         entry, forward=lambda x: stray if x == inputs[0] else entry.forward(x)
     )
-    _check_entry(rpt, moved, n, dyck)
-    got = image - {entry.forward(inputs[0])} | {stray}
+    assert _check_entry(rpt, moved, n, dyck) == (len(inputs), len(image))
+    record = ImageRecord(1, 1, (stray,), (entry.forward(inputs[0]),))
     assert rpt.checks == [
         ("split-reverse uu n=5: images distinct", len(inputs), len(inputs)),
-        ("split-reverse uu n=5: image set", image, got),
+        ("split-reverse uu n=5: image set", ONTO, record),
         ("split-reverse uu n=5: round trips", 0, 1),
         ("split-reverse uu n=5: domain size", len(inputs), len(image)),
     ]
     assert [(type(e), type(g)) for _, e, g in rpt.checks] == [
-        (int, int), (set, set), (int, int), (int, int)
+        (int, int), (ImageRecord, ImageRecord), (int, int), (int, int)
     ]
     assert rpt.failures == rpt.checks[1:3]
+
+
+def test_records_show_the_first_few_paths_in_order():
+    # every input goes outside the class: at most three strays, in the order
+    # met, and the first three class paths, U before D, stand for the rest
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    image = enumerated_image("uu", n, dyck)
+    strays = [P("U" + str(entry.forward(x))) for x in inputs]
+    away = replaced(
+        entry,
+        forward=dict(zip(inputs, strays)).__getitem__,
+        inverse=dict(zip(strays, inputs)).__getitem__,
+    )
+    rpt = RecordingReport()
+    _check_entry(rpt, away, n, dyck)
+    record = ImageRecord(len(inputs), len(image), tuple(strays[:3]), tuple(image[:3]))
+    assert rpt.failures == [("split-reverse uu n=5: image set", ONTO, record)]
+
+
+def test_repeated_image_fails_images_distinct():
+    # a second copy of one input in place of another: the repeat also leaves
+    # one class path unreached, as there are no more inputs than class paths
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    twice = [inputs[0], inputs[0], *inputs[2:]]
+    rpt = RecordingReport()
+    _check_entry(rpt, replaced(entry, marks=None, domain=lambda m: twice), n, dyck)
+    record = ImageRecord(0, 1, (), (entry.forward(inputs[1]),))
+    assert rpt.failures == [
+        ("split-reverse uu n=5: images distinct", len(inputs), len(inputs) - 1),
+        ("split-reverse uu n=5: image set", ONTO, record),
+    ]
+
+
+def test_missing_image_fails_image_set():
+    # one input left out: its image is missing, and the domain one short
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    rest = inputs[1:]
+    rpt = RecordingReport()
+    _check_entry(rpt, replaced(entry, marks=None, domain=lambda m: rest), n, dyck)
+    record = ImageRecord(0, 1, (), (entry.forward(inputs[0]),))
+    assert rpt.failures == [
+        ("split-reverse uu n=5: image set", ONTO, record),
+        ("split-reverse uu n=5: domain size", len(rest), len(inputs)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        "DUUDUDUDUD",  # one step too many
+        "DUDUDUDUD",  # the right length, but it ends at -1
+        "UDUDUDUDU",  # it ends at 1, but never goes below 0
+    ],
+)
+def test_image_outside_the_class_fails_image_set(wrong):
+    # the map and its inverse agree on the wrong image, so only the image
+    # set sees it: one stray, and the path it should have been is missing
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    stray, hit = P(wrong), entry.forward(inputs[0])
+    moved = replaced(
+        entry,
+        forward=lambda x: stray if x == inputs[0] else entry.forward(x),
+        inverse=lambda q: inputs[0] if q == stray else entry.inverse(q),
+    )
+    rpt = RecordingReport()
+    _check_entry(rpt, moved, n, dyck)
+    assert rpt.failures == [
+        ("split-reverse uu n=5: image set", ONTO, ImageRecord(1, 1, (stray,), (hit,))),
+    ]
+
+
+def test_area_check_memory():
+    # the area entry at n = 8 has 26,333 images; a first run fills the
+    # interpreter's tuple free lists, which tracemalloc counts as held and
+    # a full collection empties
+    entry, n = BIJECTIONS["area"], 8
+    dyck = {n: list(enumerate_dyck(n))}
+    gc.collect()
+    _check_entry(VerifyReport("area"), entry, n, dyck)
+    tracemalloc.start()
+    try:
+        rpt = VerifyReport("area")
+        assert _check_entry(rpt, entry, n, dyck) == (26333, 26333)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rpt.passed
+    assert peak < 1_000_000
 
 
 def test_images_are_held_as_the_expected_paths():
@@ -841,7 +943,14 @@ def test_split_reverse_classes_cover_the_table():
 
 
 @pytest.mark.parametrize("name", list(BIJECTIONS))
-def test_image_sizes_match_the_enumerated_classes(name):
+def test_image_sizes_match_the_enumerated_classes(monkeypatch, name):
+    # the suite checks these sizes against closed forms, so they are counted
+    # without them
+    def closed_form(*args):
+        raise AssertionError("an image class size read formulas")
+
+    for attr in ("binomial", "catalan", "closed_total", "closed_totals"):
+        monkeypatch.setattr(formulas, attr, closed_form)
     entry = BIJECTIONS[name]
     dyck = {m: list(enumerate_dyck(m)) for m in range(10)}
     for n in entry.sizes(8):
@@ -850,7 +959,22 @@ def test_image_sizes_match_the_enumerated_classes(name):
         if expected is None:
             assert image is None, n
         else:
-            assert len(image) == len(expected), n
+            assert image.size == len(expected), n
+
+
+@pytest.mark.parametrize("name", list(BIJECTIONS))
+def test_class_members_are_the_enumerated_class(name):
+    # every path of the class length, in order (U before D), through the
+    # member predicate
+    entry = BIJECTIONS[name]
+    dyck = {m: list(enumerate_dyck(m)) for m in range(8)}
+    for n in entry.sizes(6):
+        image = entry.image(n, dyck)
+        if image is None:
+            continue
+        every = itertools.product((U, D), repeat=image.length)
+        members = [q for q in map(Path, every) if image.member(q)]
+        assert members == enumerated_image(name, n, dyck), n
 
 
 def test_bijection_check_descriptions_pinned(monkeypatch):

@@ -25,7 +25,7 @@ from catalan_lab import (
 from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
 from catalan_lab.paths import _Value
-from catalan_lab.verify import Bijection
+from catalan_lab.verify import Bijection, ImageRecord, PathClass
 
 
 def _sizes(n_max):
@@ -92,6 +92,17 @@ FROZEN = [
         f"domain={_sizes!r}, draw_input=None)",
     ),
     (
+        PathClass,
+        {"length": 4, "member": _forward, "size": 2},
+        f"PathClass(length=4, member={_forward!r}, size=2)",
+    ),
+    (
+        ImageRecord,
+        {"strays": 1, "missing": 2, "first_strays": (UUDD,), "first_missing": ()},
+        "ImageRecord(strays=1, missing=2, first_strays=(Path('UUDD'),), "
+        "first_missing=())",
+    ),
+    (
         OeisBinding,
         {"id": "A000346", "stat": AREA, "offset": 0, "first_n": 2},
         "OeisBinding(id='A000346', stat=StatId(kind=<StatKind.AREA: 'area'>, "
@@ -154,6 +165,7 @@ def test_defaults():
     assert StatId(StatKind.AREA) == StatId(StatKind.AREA, None)
     assert Identity(2, _catalan_peak_sum).ks is None
     assert OeisBinding("A1", AREA) == OeisBinding("A1", AREA, 1, 1)
+    assert ImageRecord(0, 0) == ImageRecord(0, 0, (), ())
     entry = Bijection("m", _sizes, _forward, _forward, _image)
     assert (entry.marks, entry.shift, entry.domain, entry.draw_input) == (
         None, 0, None, None
