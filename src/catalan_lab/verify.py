@@ -15,6 +15,7 @@ from collections.abc import Callable, Iterable, Sequence
 from . import bijections as bij
 from . import formulas
 from .limits import SUITE_CAPS
+from .path_classes import PathClass, check_onto, walk_counts
 from .paths import (
     D,
     U,
@@ -119,62 +120,6 @@ def negative_final_paths(n: int) -> list[Path]:
     return [_unchecked_path(s) for s in steps if sum(s) < 0]
 
 
-def _walk_counts(a: int, floor: int | None = None) -> Counter[int]:
-    """The number of ``a``-step paths that end at each height and never go
-    below ``floor``, counted step by step over the heights. Every path starts
-    at height 0, so none stays above a positive floor."""
-    ends = Counter() if floor is not None and floor > 0 else Counter({0: 1})
-    for _ in range(a):
-        steps = Counter()
-        for h, count in ends.items():
-            steps[h + 1] += count
-            if floor is None or h > floor:
-                steps[h - 1] += count
-        ends = steps
-    return ends
-
-
-class PathClass(_Value):
-    """The paths of ``length`` steps that ``member`` accepts, ``size`` of them.
-
-    ``size`` is counted without the map it checks and without ``formulas``,
-    as the bijection suite compares it with closed forms.
-    """
-
-    __match_args__ = __slots__ = ("length", "member", "size")
-
-    def __init__(self, length: int, member: Callable[[Path], bool], size: int):
-        self._set("length", length)
-        self._set("member", member)
-        self._set("size", size)
-
-
-class ImageRecord(_Value):
-    """How the images of a map miss its class: the numbers of distinct stray
-    images, outside the class, and of class paths no input reaches, with the
-    first few of each. A map onto its class has ``ONTO``."""
-
-    __match_args__ = __slots__ = ("strays", "missing", "first_strays", "first_missing")
-
-    def __init__(
-        self,
-        strays: int,
-        missing: int,
-        first_strays: tuple[Path, ...] = (),
-        first_missing: tuple[Path, ...] = (),
-    ):
-        self._set("strays", strays)
-        self._set("missing", missing)
-        self._set("first_strays", first_strays)
-        self._set("first_missing", first_missing)
-
-
-ONTO = ImageRecord(0, 0)
-_FEW = 3  # stray and missing paths an image record shows
-_TO_BITS = str.maketrans("UD", "10")
-_TO_STEPS = str.maketrans("10", "UD")
-
-
 class Bijection(_Value):
     """A map that the bijection suite and the random round trips both check.
 
@@ -242,7 +187,7 @@ def _split_reverse(name, pattern, survivor, end, lowest, shift=0, **filters):
         a, b = 2 * n - end[0], end[1]
         if a < abs(b):
             return None
-        size = _walk_counts(a)[b] - _walk_counts(a, lowest + 1)[b]
+        size = walk_counts(a)[b] - walk_counts(a, lowest + 1)[b]
         return PathClass(
             a, lambda q: q.final_height == b and q.min_height <= lowest, size
         )
@@ -303,7 +248,7 @@ BIJECTIONS: dict[str, Bijection] = {
         image=lambda n, dyck: PathClass(
             2 * n,
             lambda q: q.final_height < 0,
-            sum(count for h, count in _walk_counts(2 * n).items() if h < 0),
+            sum(count for h, count in walk_counts(2 * n).items() if h < 0),
         ),
         marks=lambda p: [
             bij._area_mark(p, idx, j)  # valid by construction: p is Dyck
@@ -485,9 +430,9 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
             f"high up marks n={n}", n * C(n) - (C(n + 1) - C(n)), high_ups
         )
         # the balanced paths that go below -1 are those the low-path map skips
-        deep = _walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]
+        deep = walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]
         rpt.check(f"deep balanced paths n={n}", B(2 * n - 2, n - 3), deep)
-        quadrant = _walk_counts(2 * n - 1, 0)[1]
+        quadrant = walk_counts(2 * n - 1, 0)[1]
         rpt.check(f"first-quadrant endpoint-1 paths n={n}", C(n), quadrant)
     for m in range(1, n_max):
         multi_unit = sizes["marked-unit", m][1]
@@ -530,59 +475,18 @@ def _check_map(rpt, label, domain, forward, inverse, expected) -> tuple[int, int
 
 
 def _check_entry(rpt, entry: Bijection, n: int, dyck) -> tuple[int, int]:
-    """Check one ``BIJECTIONS`` entry at size ``n``; return the numbers of its
-    inputs and of the paths in its image class.
-
-    Each image in the class is ranked as its U/D text read in binary, U = 1
-    and D = 0, and marked in a bitmap of one byte per path of the class
-    length; no image is kept. The map is onto its class when no image is a
-    stray, no rank repeats and there are as many inputs as class paths. The
-    strays are kept, for the record, and the missing paths are unranked from
-    the bitmap's zeros only when there are some.
-    """
+    """Check one ``BIJECTIONS`` entry at size ``n`` against its image class;
+    return the numbers of its inputs and of the paths in that class."""
     label = entry.label.format(n=n)
     domain = entry._stream(n, dyck)
     image = entry.image(n, dyck)
     if image is None:
         rpt.check(f"{label}: empty domain", 0, sum(1 for _ in domain))
         return 0, 0
-    length, member = image.length, image.member
-    seen = bytearray(1 << length)
-    strays: dict[Path, None] = {}  # in the order they were met
-    errors = count = 0
-    for x in domain:
-        q = entry.forward(x)
-        if len(q) == length and member(q):
-            seen[int(str(q).translate(_TO_BITS), 2)] = 1
-        else:
-            strays[q] = None
-        errors += entry.inverse(q) != x
-        count += 1
-    ranked = seen.count(1)
-    rpt.check(f"{label}: images distinct", count, ranked + len(strays))
-    missing = image.size - ranked
-    record = ONTO
-    if strays or missing:
-        first_missing = _unmarked(seen, image) if missing > 0 else ()
-        first_strays = tuple(itertools.islice(strays, _FEW))
-        record = ImageRecord(len(strays), missing, first_strays, first_missing)
-    rpt.check(f"{label}: image set", ONTO, record)
-    rpt.check(f"{label}: round trips", 0, errors)
-    rpt.check(f"{label}: domain size", count, image.size)
+    count = check_onto(
+        rpt, label + ": {}", domain, entry.forward, entry.inverse, image
+    )
     return count, image.size
-
-
-def _unmarked(seen: bytearray, image: PathClass) -> tuple[Path, ...]:
-    """The first few class paths, in order (U before D), whose rank is not
-    marked in ``seen``."""
-    found = []
-    r = len(seen)
-    while len(found) < _FEW and (r := seen.rfind(0, 0, r)) >= 0:
-        text = format(r, f"0{image.length}b").translate(_TO_STEPS)
-        q = Path.from_string(text)
-        if image.member(q):
-            found.append(q)
-    return tuple(found)
 
 
 def _weak_compositions(total: int, parts: int):

@@ -48,11 +48,10 @@ from catalan_lab import (
     units,
 )
 from catalan_lab import formulas
+from catalan_lab.path_classes import ONTO, ImageRecord
 from catalan_lab.verify import (
     BIJECTIONS,
-    ONTO,
     Bijection,
-    ImageRecord,
     VerifyReport,
     _check_entry,
     _check_map,
