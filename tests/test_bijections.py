@@ -48,7 +48,7 @@ from catalan_lab import (
     units,
 )
 from catalan_lab import formulas
-from catalan_lab.path_classes import ONTO, ImageRecord
+from catalan_lab.path_classes import ONTO, ImageRecord, PathClass
 from catalan_lab.verify import (
     BIJECTIONS,
     Bijection,
@@ -849,7 +849,7 @@ def test_missing_image_fails_image_set():
 @pytest.mark.parametrize(
     "wrong",
     [
-        "DUUDUDUDUD",  # one step too many
+        "DUUDUDU",  # two steps short, though it ends at 1 and reaches -1
         "DUDUDUDUD",  # the right length, but it ends at -1
         "UDUDUDUDU",  # it ends at 1, but never goes below 0
     ],
@@ -869,6 +869,22 @@ def test_image_outside_the_class_fails_image_set(wrong):
     _check_entry(rpt, moved, n, dyck)
     assert rpt.failures == [
         ("split-reverse uu n=5: image set", ONTO, ImageRecord(1, 1, (stray,), (hit,))),
+    ]
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_wrong_class_size_fails_image_set_and_domain_size(error):
+    # every class path is hit once, so the record keeps the size's error as
+    # its count of missing paths, and shows none of them
+    n = 5
+    entry, dyck, inputs = uu_checks(n)
+    image = entry.image(n, dyck)
+    wrong = PathClass(image.length, image.member, image.size + error)
+    rpt = RecordingReport()
+    _check_entry(rpt, replaced(entry, image=lambda m, d: wrong), n, dyck)
+    assert rpt.failures == [
+        ("split-reverse uu n=5: image set", ONTO, ImageRecord(0, error)),
+        ("split-reverse uu n=5: domain size", len(inputs), len(inputs) + error),
     ]
 
 
