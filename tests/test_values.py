@@ -24,8 +24,8 @@ from catalan_lab import (
 )
 from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
-from catalan_lab.paths import _Value
 from catalan_lab.path_classes import ImageRecord, PathClass
+from catalan_lab.paths import _Value
 from catalan_lab.verify import Bijection
 
 
