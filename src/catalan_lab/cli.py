@@ -225,7 +225,7 @@ def cmd_oeis(args) -> int:
             f"divergence at index {index}: b-file has {expected}, computed {got}\n"
         )
         return EXIT_MISMATCH
-    sys.stdout.write(oeis_files.format_bfile(terms))
+    _write_rows("plain", [], oeis_files.bfile_lines(terms), str)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ single global convention: out-of-range arguments give 0. An inexact
 division raises ArithmeticError; it signals a bug, never a rounding choice.
 """
 
+import functools
 import math
 import operator
 import threading
@@ -24,24 +25,32 @@ from .words import StatId, StatKind
 
 # Binomials up to this row come from a memoized Pascal triangle; larger
 # arguments fall back to math.comb. Identity sweeps to n=300 need row 602.
-# Each row keeps only its first half, C(m, i) for i <= m // 2: about 7 MB at
-# this limit. Beside it, binomial-product-sum memoizes C(m, k) * C(m-k, k),
-# each computed once; at most about 10 MB, once its top row reaches the limit.
+# Only rows up to _HELD_ROWS are kept whole, each as its first half, C(m, i)
+# for i <= m // 2: about 1.4 MB. They cover every row read whole: the
+# binomial-product-sum dot product and its product columns, which memoize
+# C(m, k) * C(m-k, k), each computed once, under 2 MB in all. The rows above
+# them, up to the limit, serve point reads of a few hundred central entries
+# from _far, a memo of math.comb bounded to 1,024 entries, about 0.3 MB.
 # Two running sums of the identities are memoized as prefix tables, each entry
 # stored only while its terms read rows up to the limit: _pair_sums and
 # _mark_sums, at most 322 and 321 entries, about 25 KB each.
 # Binomials along a diagonal, and their sums, never read the table past their
 # first term: _diagonal steps from term to term by the term ratio.
 PASCAL_ROW_LIMIT = 640
+_HELD_ROWS = PASCAL_ROW_LIMIT // 2
 
 _rows: list[list[int]] = [[1]]  # _rows[m][i] = C(m, i) for i <= m // 2
 _columns: list[list[int]] = []  # _columns[k][m - 2k] = C(m, k) * C(m-k, k)
 _pair_sums: list[int] = [0, 0]  # _pair_sums[h] = _pair_sum(h)
 _mark_sums: list[int] = [0, 0, 0]  # _mark_sums[h] = sum of _mark_term(m), m < h
 _rows_lock = threading.Lock()  # held while _rows or a memo beside it grows
+# C(m, i) for _HELD_ROWS < m <= PASCAL_ROW_LIMIT and i <= m // 2; thread-safe
+# without _rows_lock
+_far = functools.lru_cache(maxsize=1024)(math.comb)
 
 
 def _pascal_row(n: int) -> list[int]:
+    """Row n of the held table, for n <= _HELD_ROWS."""
     if n >= len(_rows):
         # rows are appended fully built, so readers only ever see complete rows
         with _rows_lock:
@@ -55,18 +64,22 @@ def _pascal_row(n: int) -> list[int]:
 
 
 def _stored(n: int, k: int) -> int:
-    """C(n, k) for 0 <= k <= n from a row already built: it never takes
-    _rows_lock, so the prefix tables read it while they hold the lock."""
-    return _rows[n][k if 2 * k <= n else n - k]
+    """C(n, k) for 0 <= k <= n <= PASCAL_ROW_LIMIT, from a held row already
+    built or from _far: it never takes _rows_lock, so the prefix tables read
+    it while they hold the lock."""
+    k = k if 2 * k <= n else n - k
+    return _rows[n][k] if n <= _HELD_ROWS else _far(n, k)
 
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the zero-outside-range convention."""
     if n < 0 or k < 0 or k > n:
         return 0
-    if n <= PASCAL_ROW_LIMIT:
+    if n <= _HELD_ROWS:
         # min(k, n - k), written out: the min() call costs more on this path
         return _pascal_row(n)[k if 2 * k <= n else n - k]
+    if n <= PASCAL_ROW_LIMIT:
+        return _far(n, k if 2 * k <= n else n - k)
     return math.comb(n, k)
 
 
@@ -303,7 +316,8 @@ def _running_sum(sums: list[int], term: Callable[..., int], reach: int, hi: int)
     Pascal table; terms past the last stored entry are added to it unstored."""
     last = max(min(hi, (PASCAL_ROW_LIMIT - reach) // 2 + 1), 0)
     if last >= len(sums):
-        _pascal_row(2 * last - 2 + reach)  # before the lock: _pascal_row takes it too
+        # before the lock: _pascal_row takes it too
+        _pascal_row(min(2 * last - 2 + reach, _HELD_ROWS))
         # entries are appended fully built, under the lock, and never twice
         with _rows_lock:
             while len(sums) <= last:
@@ -351,7 +365,8 @@ def _descent_run_split(n: int) -> tuple[int, int]:
 
 
 def _product_column(k: int, top: int) -> list[int]:
-    """C(m, k) * C(m-k, k) for m = 2k, 2k+1, ..., up to top at least."""
+    """C(m, k) * C(m-k, k) for m = 2k, 2k+1, ..., up to top at least, for
+    top <= _HELD_ROWS."""
     if k >= len(_columns) or 2 * k + len(_columns[k]) <= top:
         _pascal_row(top)  # before the lock: _pascal_row takes it too
         # entries are appended fully built, under the lock, and never twice
@@ -366,10 +381,10 @@ def _product_column(k: int, top: int) -> list[int]:
 
 def _binomial_product_sum(n: int, k: int) -> tuple[int, int]:
     # term j is C(m, k) * C(m-k, k) * C(n-1, j) with m = n-1-j, read from
-    # the Pascal rows. Stepping the terms by their own ratio instead would
+    # the held Pascal rows. Stepping the terms by their own ratio instead would
     # compute the lhs with the rhs's algebra and check nothing.
     top = n - 1
-    if top <= PASCAL_ROW_LIMIT:
+    if top <= _HELD_ROWS:
         column, row, lo = _product_column(k, top), _pascal_row(top), 2 * k
         # C(top, m) for m = 2k..top: the stored half from m = 2k on, then its
         # mirror row[top - m] from m = max(2k, top // 2 + 1) on

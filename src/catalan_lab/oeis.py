@@ -7,7 +7,7 @@ Checking compares terms at equal indices over the shared index range;
 there is no realignment by value searching.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 # closed_total stays importable from here: benchmark/tracing.py wraps
 # oeis.closed_total by name
@@ -44,8 +44,13 @@ BUILTIN_BINDINGS = {
 }
 
 
+def bfile_lines(terms: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The b-file line of each (index, value) pair, without its newline."""
+    return (f"{i} {v}" for i, v in terms)
+
+
 def format_bfile(terms: Iterable[tuple[int, int]]) -> str:
-    return "".join(f"{i} {v}\n" for i, v in terms)
+    return "".join(map("{}\n".format, bfile_lines(terms)))
 
 
 def _clip(line: str, limit: int = 40) -> str:

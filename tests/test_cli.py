@@ -554,6 +554,20 @@ class TestModuleEntryPoint:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    def test_closed_pipe_ends_a_bfile_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catalan_lab.cli", "oeis", "A000346",
+             "--terms", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
     def test_negative_max_n_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "--max-n", "-5", "enumerate", "--kind", "words", "--n", "0"
@@ -615,6 +629,48 @@ class TestBatchedWrites:
         assert code == 0
         assert sum(out.sizes) == 8 * row
         assert 1 < len(out.sizes) and max(out.sizes) < WRITE_CHARS + row
+
+
+    def test_bfile_streams_in_batches(self, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["oeis", "A000346", "--terms", "3000"])
+        text = out.getvalue()
+        data = text.encode()
+        assert code == 0
+        # size and sha256 as written whole, by one write of format_bfile
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            2727636,
+            "145367e98ce9879f154809578989df73459500530a797bab98c1f220b4a9c589",
+        )
+        assert text == format_bfile(BUILTIN_BINDINGS["A000346"].terms(3000))
+        line = max(map(len, text.splitlines(keepends=True)))
+        assert 1 < len(out.sizes) and max(out.sizes) <= WRITE_CHARS + line
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_streamed_huge_terms_round_trip(self, monkeypatch, tmp_path):
+        argv = ["oeis", "--stat", "area", "--offset", "8000", "--first-n", "8000",
+                "--terms", "30"]
+        saved = sys.get_int_max_str_digits()
+        try:
+            out = CountingStdout()
+            monkeypatch.setattr(sys, "stdout", out)
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            assert main(argv) == 0
+            entries = parse_bfile(out.getvalue())
+            assert list(entries) == list(range(8000, 8030))
+            assert 1 < len(out.sizes)
+            bfile = tmp_path / "b_area.txt"
+            bfile.write_text(out.getvalue())
+            out = CountingStdout()
+            monkeypatch.setattr(sys, "stdout", out)
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            assert main([*argv, "--check", str(bfile)]) == 0
+            assert out.getvalue() == "match: 30 shared terms agree\n"
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestSample:

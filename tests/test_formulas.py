@@ -593,6 +593,112 @@ class TestPrefixTables:
         assert len(formulas._mark_sums) == PASCAL_ROW_LIMIT // 2 + 1
 
 
+# whole rows are held up to here; rows above it, up to the limit, are read
+# at points only
+HELD = PASCAL_ROW_LIMIT // 2
+
+AFTER_THE_SWEEP = """
+from catalan_lab import formulas
+from catalan_lab.verify import verify_identities
+report = verify_identities(300)
+memo = formulas._far.cache_info()
+print(report.passed, report.cases_run, len(formulas._rows), memo.currsize, memo.maxsize)
+"""
+
+
+class TestHeldRows:
+    """Whole Pascal rows up to half the limit, point reads above it."""
+
+    @pytest.fixture
+    def fresh_memo(self):
+        formulas._far.cache_clear()
+        yield formulas._far
+        formulas._far.cache_clear()
+
+    @pytest.mark.parametrize("n", [HELD - 1, HELD, HELD + 1])
+    def test_both_halves_at_the_bound(self, n):
+        assert [binomial(n, k) for k in range(n + 1)] == [
+            math.comb(n, k) for k in range(n + 1)
+        ]
+
+    @pytest.mark.parametrize("n", [HELD + 1, HELD + 2])
+    def test_binomial_product_lhs_on_either_side_of_the_bound(self, n):
+        # top row n - 1 is the last held row, then the first row above it
+        for k in range((n - 1) // 2 + 1):
+            literal = sum(
+                math.comb(n - j - 1, k) * math.comb(n - j - k - 1, k) * math.comb(n - 1, j)
+                for j in range(n - 2 * k)
+            )
+            assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k).lhs == literal
+
+    def test_product_columns_stop_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_columns", [])
+        for n in (HELD + 2, PASCAL_ROW_LIMIT, PASCAL_ROW_LIMIT + 1, 700):
+            for k in (0, 1, 57, (n - 1) // 2):
+                assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k).holds
+        # _columns[k][m - 2k] holds row m
+        assert all(2 * k + len(col) - 1 <= HELD for k, col in enumerate(formulas._columns))
+
+    def test_identity_sweep_holds_no_row_above_the_bound(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", AFTER_THE_SWEEP],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        passed, cases, rows, held, bound = proc.stdout.split()
+        assert (passed, cases) == ("True", "25642")
+        assert int(rows) <= HELD + 1
+        assert int(held) <= int(bound)
+
+    def test_memo_stays_bounded_and_exact(self, fresh_memo):
+        far_rows = range(HELD + 1, PASCAL_ROW_LIMIT + 1)
+        for n in far_rows:
+            assert [binomial(n, k) for k in range(n + 1)] == [
+                math.comb(n, k) for k in range(n + 1)
+            ], n
+        info = fresh_memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # read back from the top row down, so that the held entries are hit
+        # before any miss evicts them; the top row, read last, is held whole
+        top = far_rows[-1]
+        assert [binomial(top, k) for k in range(top + 1)] == [
+            math.comb(top, k) for k in range(top + 1)
+        ]
+        assert fresh_memo.cache_info().hits == info.hits + top + 1
+        for n in reversed(far_rows[:-1]):
+            for k in range(n + 1):
+                assert binomial(n, k) == math.comb(n, k), (n, k)
+        assert len(formulas._rows) <= HELD + 1
+
+    def test_concurrent_far_reads(self, fresh_memo):
+        errors = []
+
+        def worker(shift):
+            try:  # each thread starts at another row
+                ns = range(HELD + 1 + shift, PASCAL_ROW_LIMIT + 1, 7)
+                for n in ns:
+                    for k in (0, 1, n // 3, n // 2, n - 1):
+                        if binomial(n, k) != math.comb(n, k):
+                            errors.append((n, k))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(t % 7,)) for t in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        info = fresh_memo.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
+        assert len(formulas._rows) <= HELD + 1
+
+
 class TestOracleAgreement:
     """Closed forms against the enumeration oracle at desk scale."""
 
