@@ -630,7 +630,6 @@ class TestBatchedWrites:
         assert sum(out.sizes) == 8 * row
         assert 1 < len(out.sizes) and max(out.sizes) < WRITE_CHARS + row
 
-
     def test_bfile_streams_in_batches(self, monkeypatch):
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)

@@ -626,18 +626,20 @@ class TestHeldRows:
         # top row n - 1 is the last held row, then the first row above it
         for k in range((n - 1) // 2 + 1):
             literal = sum(
-                math.comb(n - j - 1, k) * math.comb(n - j - k - 1, k) * math.comb(n - 1, j)
-                for j in range(n - 2 * k)
+                math.comb(m, k) * math.comb(m - k, k) * math.comb(n - 1, n - 1 - m)
+                for m in range(2 * k, n)
             )
             assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k).lhs == literal
 
     def test_product_columns_stop_at_the_bound(self, monkeypatch):
         monkeypatch.setattr(formulas, "_columns", [])
-        for n in (HELD + 2, PASCAL_ROW_LIMIT, PASCAL_ROW_LIMIT + 1, 700):
+        # row n - 1 is the last held row at n = HELD + 1, and above it after
+        for n in (HELD + 1, HELD + 2, PASCAL_ROW_LIMIT, PASCAL_ROW_LIMIT + 1, 700):
             for k in (0, 1, 57, (n - 1) // 2):
                 assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k).holds
         # _columns[k][m - 2k] holds row m
-        assert all(2 * k + len(col) - 1 <= HELD for k, col in enumerate(formulas._columns))
+        tops = [2 * k + len(column) - 1 for k, column in enumerate(formulas._columns)]
+        assert max(tops) == HELD
 
     def test_identity_sweep_holds_no_row_above_the_bound(self):
         proc = subprocess.run(
