@@ -33,7 +33,9 @@ from .words import StatId, StatKind
 # from _far, a memo of math.comb bounded to 1,024 entries, about 0.3 MB.
 # Two running sums of the identities are memoized as prefix tables, each entry
 # stored only while its terms read rows up to the limit: _pair_sums and
-# _mark_sums, at most 322 and 321 entries, about 25 KB each.
+# _mark_sums, at most 322 and 321 entries, about 25 KB each. The sym-valley
+# totals that sym-valley-mark-sum checks them against are stepped once, by
+# closed_totals, into _sym_valley_totals: _HELD_ROWS entries, about 25 KB.
 # Binomials along a diagonal, and their sums, never read the table past their
 # first term: _diagonal steps from term to term by the term ratio.
 PASCAL_ROW_LIMIT = 640
@@ -43,6 +45,8 @@ _rows: list[list[int]] = [[1]]  # _rows[m][i] = C(m, i) for i <= m // 2
 _columns: list[list[int]] = []  # _columns[k][m - 2k] = C(m, k) * C(m-k, k)
 _pair_sums: list[int] = [0, 0]  # _pair_sums[h] = _pair_sum(h)
 _mark_sums: list[int] = [0, 0, 0]  # _mark_sums[h] = sum of _mark_term(m), m < h
+# _sym_valley_totals[n - 1] = closed_total(n, sym-valley) for n <= _HELD_ROWS
+_sym_valley_totals: list[int] = []
 _rows_lock = threading.Lock()  # held while _rows or a memo beside it grows
 # C(m, i) for _HELD_ROWS < m <= PASCAL_ROW_LIMIT and i <= m // 2; thread-safe
 # without _rows_lock
@@ -87,7 +91,7 @@ def catalan(n: int) -> int:
     """The n-th Catalan number."""
     if n < 0:
         raise ValueError(f"catalan is defined for n >= 0, got {n}")
-    return binomial(2 * n, n) // (n + 1)
+    return _exact_div(binomial(2 * n, n), n + 1)
 
 
 def narayana(n: int, k: int) -> int:
@@ -386,10 +390,17 @@ def _binomial_product_sum(n: int, k: int) -> tuple[int, int]:
     top = n - 1
     if top <= _HELD_ROWS:
         column, row, lo = _product_column(k, top), _pascal_row(top), 2 * k
-        # C(top, m) for m = 2k..top: the stored half from m = 2k on, then its
-        # mirror row[top - m] from m = max(2k, top // 2 + 1) on
-        mirror = islice(reversed(row), max(lo, top // 2 + 1) - (top + 1) // 2, None)
-        lhs = sum(map(operator.mul, column, chain(islice(row, lo, None), mirror)))
+        # C(top, i) = C(top, top - i) is the binomial of both m = i and
+        # m = top - i, so each held entry row[i] is multiplied once, by the
+        # sum of the column entries of those m that lie in [2k, top]. Row[i]
+        # for i < mid has two such m at most; row[mid] is the middle of an
+        # even top, its own mirror.
+        mid = (top + 1) // 2
+        mirror = column[top - lo :: -1]  # mirror[i] is the entry of m = top - i
+        mirror[lo:mid] = map(operator.add, column, mirror[lo:mid])  # and of m = i
+        lhs = sum(map(operator.mul, row[:mid], mirror))
+        if top % 2 == 0 and lo <= mid:
+            lhs += row[mid] * column[mid - lo]
     else:
         lhs = sum(
             binomial(m, k) * binomial(m - k, k) * binomial(top, top - m)
@@ -415,10 +426,24 @@ def _mark_term(m: int, c: Callable[[int, int], int]) -> int:
     return _marked_high_ups(m, c(2 * m, m), c(2 * m + 2, m + 1))
 
 
+def _sym_valley_total(n: int) -> int:
+    """closed_total(n, sym-valley), read from _sym_valley_totals for n <= _HELD_ROWS."""
+    if n > _HELD_ROWS:
+        return closed_total(n, StatId(StatKind.SYM_VALLEY))
+    if not _sym_valley_totals:
+        # before the lock: closed_totals reads binomial, which may take it
+        totals = closed_totals(StatId(StatKind.SYM_VALLEY), 1, _HELD_ROWS)
+        # published fully built, under the lock, and never twice
+        with _rows_lock:
+            if not _sym_valley_totals:
+                _sym_valley_totals.extend(totals)
+    return _sym_valley_totals[n - 1]
+
+
 def _sym_valley_mark_sum(n: int) -> tuple[int, int]:
     # the nonzero sym-valley:ell rows, m = n - ell - 1 for 2 <= m <= n - 2
     lhs = _running_sum(_mark_sums, _mark_term, 2, n - 1)
-    return lhs, closed_total(n, StatId(StatKind.SYM_VALLEY))
+    return lhs, _sym_valley_total(n)
 
 
 IDENTITIES: dict[IdentityId, Identity] = {

@@ -180,6 +180,13 @@ class TestCatalanNarayana:
         assert narayana(0, 0) == 1
         assert sum(narayana(0, k) for k in range(2)) == catalan(0)
 
+    def test_inexact_catalan_division_raises(self, monkeypatch):
+        # C(6, 3) + 1 = 21 is not a multiple of 4
+        real = formulas.binomial
+        monkeypatch.setattr(formulas, "binomial", lambda n, k: real(n, k) + 1)
+        with pytest.raises(ArithmeticError):
+            catalan(3)
+
 
 class TestClosedTotal:
     def test_anchor_values(self):
@@ -699,6 +706,109 @@ class TestHeldRows:
         info = fresh_memo.cache_info()
         assert info.hits > 0 and info.currsize <= info.maxsize
         assert len(formulas._rows) <= HELD + 1
+
+
+def literal_product_sum(n, k):
+    """The binomial-product-sum lhs as the plain triple product, from math.comb."""
+    return sum(
+        math.comb(m, k) * math.comb(m - k, k) * math.comb(n - 1, m)
+        for m in range(2 * k, n)
+    )
+
+
+class TestPairedProductSum:
+    """The held-row lhs of binomial-product-sum multiplies each C(n-1, i),
+    i <= (n-1) // 2, once, by the column entries of m = i and m = n-1-i."""
+
+    @pytest.mark.parametrize("n", [HELD - 1, HELD, HELD + 1])
+    def test_every_k_below_the_bound(self, n):
+        # top rows 318, 319 and 320: both parities, the last one held
+        for k in range((n - 1) // 2 + 1):
+            res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
+            assert res.lhs == literal_product_sum(n, k), (n, k)
+
+    def test_small_n_with_no_pair(self):
+        # 2k > (n-1) // 2: row entry i is read for m = n-1-i alone, or as the
+        # middle of an even top row
+        cases = [(n, k) for n in range(1, 40) for k in range((n - 1) // 2 + 1)]
+        unpaired = [(n, k) for n, k in cases if 2 * k > (n - 1) // 2]
+        assert any(n % 2 for n, _ in unpaired) and any(n % 2 == 0 for n, _ in unpaired)
+        for n, k in unpaired:
+            res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
+            assert res.lhs == literal_product_sum(n, k), (n, k)
+
+
+# the sym-valley totals memo, filled first in a fresh interpreter, before any
+# Pascal row beyond row 0 is built
+MEMO_FIRST = """
+from catalan_lab import formulas
+from catalan_lab.words import StatId, StatKind
+assert len(formulas._rows) == 1
+total = formulas._sym_valley_total(300)
+print(total == formulas.closed_total(300, StatId(StatKind.SYM_VALLEY)),
+      len(formulas._sym_valley_totals))
+"""
+
+
+class TestSymValleyTotals:
+    """The rhs of sym-valley-mark-sum, stepped once by closed_totals into a
+    memo of HELD entries."""
+
+    SYM = StatId(StatKind.SYM_VALLEY)
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_sym_valley_totals", [])
+
+    def test_memo_equals_closed_total(self, fresh_memo):
+        assert identity_check(IdentityId.SYM_VALLEY_MARK_SUM, 5).holds
+        assert formulas._sym_valley_totals == [
+            closed_total(n, self.SYM) for n in range(1, HELD + 1)
+        ]
+
+    def test_memo_stays_at_its_cap(self, fresh_memo):
+        for n in (HELD, HELD + 1, 2000):
+            assert identity_check(IdentityId.SYM_VALLEY_MARK_SUM, n).holds, n
+        assert len(formulas._sym_valley_totals) == HELD
+
+    def test_first_call_in_a_fresh_process_returns(self):
+        # closed_totals builds Pascal rows, under their lock, before the memo
+        # takes the lock to publish its entries
+        proc = subprocess.run(
+            [sys.executable, "-c", MEMO_FIRST],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.split() == ["True", str(HELD)]
+
+    def test_concurrent_fill(self, fresh_memo, monkeypatch):
+        monkeypatch.setattr(formulas, "_rows", [[1]])
+        sizes = range(1, 301)
+        literal = [closed_total(n, self.SYM) for n in range(1, HELD + 1)]
+        errors = []
+
+        def worker(shift):
+            try:  # each thread starts the sweep at another n
+                for n in [*sizes[shift:], *sizes[:shift]]:
+                    res = identity_check(IdentityId.SYM_VALLEY_MARK_SUM, n)
+                    if (res.lhs, res.rhs) != (literal[n - 1],) * 2:
+                        errors.append(n)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(25 * t,)) for t in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        # filled once: HELD entries, not a second copy appended
+        assert formulas._sym_valley_totals == literal
 
 
 class TestOracleAgreement:
