@@ -706,6 +706,69 @@ class TestSample:
             assert is_dyck(Path.from_string(line))
 
 
+class TestPathOutputPins:
+    """stdout (size and sha256), stderr and exit code of the Dyck path
+    commands, recorded before ``enumerate --kind paths`` wrote text straight
+    from the enumerator's block tables."""
+
+    ENUMERATE = {
+        (-1, "plain"): (2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (-1, "csv"): (2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (-1, "json"): (2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "plain"): (0, 1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+        (0, "csv"): (0, 17, "9cb1804eba4b64ba52e088c85c81ce3ee96a1261ff6e49f7d7ed5c02fe7eb92e"),
+        (0, "json"): (0, 26, "6b0be198efd407b86edc9153cd0f2087ddd903eb0daa7f45d359302e2822cb55"),
+        (1, "plain"): (0, 3, "26dbd15b828d6d7bf21e81958edb2524dc92c5264721a819aec093e46ab24442"),
+        (1, "csv"): (0, 19, "14944fe0f24d02f68c5375a425d3e42992f98a3e5aec05588d95819cb06655be"),
+        (1, "json"): (0, 28, "594e3ef2d3ef518570dc813338dff12237871539d67b9f80725f523aa945138b"),
+        (2, "plain"): (0, 10, "df96f00e2d15f3ad594a7c3aebff8844dcfb96669f7cd6be91c6720a6ef7f61c"),
+        (2, "csv"): (0, 29, "7854c70bce3adfc9fd9daca6ec111c5a4ad4e24f9d9fa36301f09068494659b1"),
+        (2, "json"): (0, 60, "07f4581d0c173118e839df300ed42534369b17611e4c03bda6cf6c8e83c2b557"),
+        (7, "plain"): (0, 6435, "545598ada93c24313f90c89532164129de468aa40da67bba800520c5a693f164"),
+        (7, "csv"): (0, 8483, "e3797ad3fd5174eacabfcb15f827eca97e3f17a8bd9e68cc6d61871bf5389321"),
+        (7, "json"): (0, 17908, "b80d75d194b6e09c571b5931a4c5b0a874bd514df27118523a90c6106e713a98"),
+    }
+    SAMPLE = {
+        ("200", "50", "1", "plain"): (20050, "35574ed0e488b1aa2180d3e1e86c7b4cc826fcd83fb43b9b55a8436db2fe910a"),
+        ("200", "50", "1", "json"): (21340, "4037b5946a6910c2c669ec5d472562b8661963a4c3c328d40c765a5254415e8a"),
+        ("100000", "2", "2", "plain"): (400002, "9d832ba61c83cd7065b6f62f89eb3ee54ca3496123798f6ff80fd4fcc8c78280"),
+        ("100000", "2", "2", "json"): (400052, "0a6669c402b2614cc936a25201409bdafde536f3b56543376f9bfd2d9c3a8be3"),
+    }
+
+    @staticmethod
+    def digest(out):
+        data = out.encode()
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize(("n", "fmt"), ENUMERATE)
+    def test_enumerate_paths(self, capsys, n, fmt):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--kind", "paths", "--n", str(n), "--format", fmt
+        )
+        assert (code, *self.digest(out)) == self.ENUMERATE[n, fmt]
+        assert err == ("error: size must be nonnegative, got -1\n" if n < 0 else "")
+
+    def test_ceiling_prints_nothing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--max-n", "5", "enumerate", "--kind", "paths", "--n", "6",
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n=6 exceeds the enumeration ceiling 5 "
+            "(override with CATALAN_LAB_MAX_N or an explicit max_n)\n"
+        )
+
+    @pytest.mark.parametrize(("n", "count", "seed", "fmt"), SAMPLE)
+    def test_sample(self, capsys, n, count, seed, fmt):
+        code, out, err = run_cli(
+            capsys, "sample", "--n", n, "--count", count, "--seed", seed,
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert self.digest(out) == self.SAMPLE[n, count, seed, fmt]
+
+
 _GOLDEN_TABLES = [
     "enumerate --kind words --n 3",
     "enumerate --kind words --n 0",

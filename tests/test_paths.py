@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -344,6 +345,35 @@ class TestBlockEnumeration:
         # the 16,796 paths held at once would take about 9 MB
         assert peak < 2_000_000
         assert left < 20_000
+
+
+class TestEnumerationPins:
+    """Digests of the enumerators' output, recorded before the odometer was
+    split into heads and their flatteners."""
+
+    def test_lattice_steps_to_a14(self):
+        h = hashlib.sha256()
+        for a in range(15):
+            for b in range(-a, a + 1, 2):
+                for p in enumerate_lattice(a, b):
+                    h.update(bytes(s + 1 for s in p.steps))
+                    h.update(b"|")
+                h.update(b"#")
+        assert h.hexdigest() == (
+            "152844574165f019dba3e146d286e75aa19a50333fff4fd29c183a7d171d57a9"
+        )
+
+    def test_dyck_order_and_cached_text_to_n11(self):
+        h = hashlib.sha256()
+        for n in range(12):
+            for p in enumerate_dyck(n):
+                # the text is cached as the path is made, before any str()
+                h.update(b"?" if p._text is None else p._text.encode())
+                h.update(b"\n")
+            h.update(b"#")
+        assert h.hexdigest() == (
+            "6da3ac615834d337bb04617bff0538c733fd229a18d9d616d73dd4269340c864"
+        )
 
 
 class TestUncheckedPaths:
