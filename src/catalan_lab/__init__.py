@@ -58,6 +58,7 @@ _EXPORTS = {
         "count_factor",
         "ddu_udu_counts",
         "enumerate_dyck",
+        "enumerate_dyck_texts",
         "enumerate_lattice",
         "factor_occurrences",
         "is_dyck",

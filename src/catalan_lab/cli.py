@@ -21,7 +21,10 @@ from types import SimpleNamespace
 
 from .formulas import closed_total, narayana
 from .limits import SUITE_CAPS, EnumerationLimitError
-from .paths import enumerate_dyck, random_dyck_path
+# enumerate_dyck stays importable from here, though no command reads it:
+# benchmark/tracing.py wraps cli.enumerate_dyck by name
+from .paths import enumerate_dyck  # noqa: F401
+from .paths import enumerate_dyck_texts, random_dyck_path
 from .words import (
     ADJACENCY_INCREMENTS,
     StatId,
@@ -74,34 +77,35 @@ def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
 
 
 def _write_rows(
-    fmt: str, header: list[str], rows: Iterable, plain: Callable[..., str]
+    fmt: str, header: list[str], rows: Iterable, plain: Callable[..., str] | None
 ) -> None:
     """Print dict rows as csv, as one JSON object per line, or as plain text.
 
     csv writes ``header`` first, lowercases booleans and spreads a dict-valued
     cell over its own columns; json keeps such a cell nested; plain writes
-    ``plain(row)``, and its rows need not be dicts. ``rows`` may be a
-    generator, so output streams, in batches of at most ``WRITE_CHARS``
-    characters plus one row.
+    ``plain(row)``, or the row itself when ``plain`` is None, and its rows
+    need not be dicts. ``rows`` may be a generator, so output streams, in
+    batches of at most ``WRITE_CHARS`` characters plus one row.
     """
-    if fmt == "csv":
-        lines = _csv_lines(header, rows)
+    if fmt == "csv":  # csv lines end in their own terminator
+        lines, end = _csv_lines(header, rows), ""
     elif fmt == "json":
         import json
 
-        lines = map("{}\n".format, map(json.dumps, rows))
+        lines, end = map(json.dumps, rows), "\n"
     else:
-        lines = map("{}\n".format, map(plain, rows))
+        lines, end = rows if plain is None else map(plain, rows), "\n"
+    glue, extra = end.join, len(end)
     out = sys.stdout
     batch, size = [], 0
     for line in lines:
         batch.append(line)
-        size += len(line)
+        size += len(line) + extra
         if size >= WRITE_CHARS:
-            out.write("".join(batch))
+            out.write(glue(batch) + end)
             batch, size = [], 0
     if batch:
-        out.write("".join(batch))
+        out.write(glue(batch) + end)
 
 
 def _csv_lines(header: list[str], rows: Iterable[dict]) -> Iterable[str]:
@@ -127,22 +131,24 @@ def cmd_enumerate(args) -> int:
         raise ValueError("per-item statistics need --format csv or json")
     if args.kind == "words":
         items = enumerate_catalan(args.n, max_n=args.max_n)
-    else:
-        items = enumerate_dyck(args.n, max_n=args.max_n)
+        texts = map(str, items)
+    else:  # the paths' text, with no Path built
+        texts = enumerate_dyck_texts(args.n, max_n=args.max_n)
     if args.format == "plain":  # one line per item: its text
-        _write_rows("plain", [], items, str)
+        _write_rows("plain", [], texts, None)
         return EXIT_OK
     named = [(str(s), s) for s in stats]
-    rows = (
-        {
-            "index": i,
-            "value": str(item),
-            "stats": {name: stat_value(item, s) for name, s in named},
-        }
-        if stats
-        else {"index": i, "value": str(item)}
-        for i, item in enumerate(items)
-    )
+    if stats:  # words only
+        rows = (
+            {
+                "index": i,
+                "value": str(item),
+                "stats": {name: stat_value(item, s) for name, s in named},
+            }
+            for i, item in enumerate(items)
+        )
+    else:
+        rows = ({"index": i, "value": text} for i, text in enumerate(texts))
     header = ["index", "value"] + [name for name, _ in named]
     _write_rows(args.format, header, rows, itemgetter("value"))
     return EXIT_OK
@@ -225,7 +231,7 @@ def cmd_oeis(args) -> int:
             f"divergence at index {index}: b-file has {expected}, computed {got}\n"
         )
         return EXIT_MISMATCH
-    _write_rows("plain", [], oeis_files.bfile_lines(terms), str)
+    _write_rows("plain", [], oeis_files.bfile_lines(terms), None)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, islice, product
 from operator import attrgetter, indexOf, neg
 
 from .limits import check_ceiling
@@ -228,15 +228,17 @@ def _require_dyck(p: Path) -> None:
         raise ValueError(f"expected a Dyck path, got {p!r}")
 
 
-def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
-    """Yield, lexicographically (U < D), the paths of ``ups`` U and ``downs`` D
-    steps that never go below ``floor``, which is at most the final height.
+def _lex_heads(ups: int, downs: int, floor: int) -> Iterator[tuple]:
+    """Yield, lexicographically (U < D), the heads of the paths of ``ups`` U
+    and ``downs`` D steps that never go below ``floor``, which is at most the
+    final height: each head's steps and text, the (steps, text) pairs of the
+    final blocks that complete it, in order, and those texts alone.
 
     The path is cut into blocks of ``_BLOCK`` steps, the last one possibly
-    shorter, and counted through like an odometer. The blocks that may
-    follow a prefix depend only on the U and D steps it leaves, so each list
-    of them is built once per call, with its text, and every path is one
-    tuple and one string concatenation.
+    shorter, and counted through like an odometer; a head is every block but
+    the last. The blocks that may follow a prefix depend only on the U and D
+    steps it leaves, so each list of them is built once per call, with its
+    text, and a path is one concatenation of a head and a final block.
     """
 
     @cache
@@ -260,6 +262,13 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
             if x <= u and size - x <= d and height + low >= floor
         ]
 
+    @cache
+    def finals(u, d):
+        """The (steps, text) pairs of the final blocks after such a prefix,
+        and their texts."""
+        found = [(steps, text) for steps, text, _, _ in blocks(u, d)]
+        return found, [text for _, text in found]
+
     stack = [(iter(blocks(ups, downs)), (), "")]
     while stack:
         entries, head, head_text = stack[-1]
@@ -268,16 +277,33 @@ def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
             if u + d > _BLOCK:
                 stack.append((iter(blocks(u, d)), steps, text))
                 break
-            for tail, tail_text, _, _ in blocks(u, d):
-                yield _unchecked_path(steps + tail, text + tail_text)
+            yield (steps, text) + finals(u, d)
         else:
             stack.pop()
+
+
+def _lex_paths(ups: int, downs: int, floor: int) -> Iterator[Path]:
+    """The paths of ``_lex_heads``, in its order, each with its text."""
+    for head, head_text, tails, _ in _lex_heads(ups, downs, floor):
+        for tail, tail_text in tails:
+            yield _unchecked_path(head + tail, head_text + tail_text)
 
 
 def enumerate_dyck(n: int, *, max_n: int | None = None) -> Iterator[Path]:
     """Yield all Dyck paths of length 2n in lexicographic order (U < D)."""
     check_ceiling(n, max_n)
     return _lex_paths(n, n, 0)
+
+
+def enumerate_dyck_texts(n: int, *, max_n: int | None = None) -> Iterator[str]:
+    """The text of each path of ``enumerate_dyck(n)``, in its order, built
+    without a ``Path``."""
+    check_ceiling(n, max_n)
+    return (
+        head_text + text
+        for _, head_text, _, texts in _lex_heads(n, n, 0)
+        for text in texts
+    )
 
 
 def enumerate_lattice(a: int, b: int, *, max_n: int | None = None) -> Iterator[Path]:
@@ -394,11 +420,16 @@ def raney_shift(values: Sequence[int]) -> int:
     total = sum(vals)
     if total != 1:
         raise ValueError(f"sequence must sum to 1, got {total}")
+    return _rotation(vals)
+
+
+def _rotation(values: Sequence[int]) -> int:
+    """``raney_shift`` of values known to be nonempty and to sum to 1."""
     # The sum of the first j values is 1 minus the sum of the other len - j,
     # so the last minimal prefix sum is the first maximal suffix sum, read
     # from the right.
-    top = max(accumulate(reversed(vals)))
-    return len(vals) - indexOf(accumulate(reversed(vals)), top)
+    top = max(accumulate(reversed(values)))
+    return len(values) - indexOf(accumulate(reversed(values)), top)
 
 
 def _shuffle(rng: random.Random, x: list) -> None:
@@ -445,5 +476,7 @@ def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
         rng = random.Random()
     arrangement = [D] * n + [U] * (n + 1)
     _shuffle(rng, arrangement)
-    r = raney_shift(arrangement)
-    return _unchecked_path(tuple(arrangement[r:] + arrangement[: r - 1]))
+    r = _rotation(arrangement)
+    return _unchecked_path(
+        tuple(chain(islice(arrangement, r, None), islice(arrangement, r - 1)))
+    )

@@ -287,6 +287,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         errors += sum(word_to_path(path_to_word(p)) != p for p in dyck[n])
         rpt.check(f"word/path round trips n={n}", 0, errors)
         rpt.check(f"word/path image n={n}", set(dyck[n]), set(images))
+    del ws, images  # free the largest words and images, as rc above
 
     sizes = {}  # (entry name, n) -> numbers of inputs and of image class paths
     for name, entry in BIJECTIONS.items():
@@ -367,6 +368,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
                         forward_errors += 1
         rpt.check(f"insert/remove UD round trips n={n}", 0, forward_errors)
         rpt.check(f"insert UD covers Dyck n={n}", set(dyck[n]), seen)
+        del seen  # freed here, not after the loop, which n_max = 0 skips
 
     for a, b, level in [(6, 0, -1), (6, 0, -2), (7, 1, -1), (6, -2, -3), (8, 2, -1)]:
         # reflection principle: touching paths match the reflected endpoint class

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from catalan_lab import StatKind, closed_total, narayana
+from catalan_lab import StatKind, closed_total, narayana, random_dyck_path
 from catalan_lab.cli import WRITE_CHARS, main
 from catalan_lab.limits import COUNT_MAX_N
 from catalan_lab.oeis import (
@@ -577,6 +578,36 @@ class TestModuleEntryPoint:
 
 
 
+# benchmark/tracing.py times the traced run (--trace 1) by replacing these
+# module attributes by name; the CLI must keep each one, even one that no
+# command reads any more, or that run fails.
+TRACED_CLI_NAMES = {
+    "sweep_totals": "words",
+    "stat_value": "words",
+    "enumerate_catalan": "words",
+    "closed_total": "formulas",
+    "narayana": "formulas",
+    "random_dyck_path": "paths",
+    "enumerate_dyck": "paths",
+}
+
+
+@pytest.mark.parametrize("name", TRACED_CLI_NAMES)
+def test_traced_run_finds_cli_names(name):
+    import importlib
+
+    from catalan_lab import cli
+
+    source = importlib.import_module(f"catalan_lab.{TRACED_CLI_NAMES[name]}")
+    assert getattr(cli, name) is getattr(source, name)
+
+
+def test_traced_run_finds_oeis_closed_total():
+    from catalan_lab import formulas, oeis
+
+    assert oeis.closed_total is formulas.closed_total
+
+
 class CountingStdout(io.StringIO):
     """A standard output that records the size of each write."""
 
@@ -628,6 +659,22 @@ class TestBatchedWrites:
         row = 2 * 20000 + 1
         assert code == 0
         assert sum(out.sizes) == 8 * row
+        assert 1 < len(out.sizes) and max(out.sizes) < WRITE_CHARS + row
+
+    def test_long_json_rows_keep_writes_bounded(self, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(
+            ["sample", "--n", "20000", "--count", "8", "--seed", "3", "--format", "json"]
+        )
+        assert code == 0
+        rng = random.Random(3)
+        lines = [
+            json.dumps({"index": i, "value": str(random_dyck_path(20000, rng))}) + "\n"
+            for i in range(8)
+        ]
+        assert out.getvalue() == "".join(lines)
+        row = max(map(len, lines))
         assert 1 < len(out.sizes) and max(out.sizes) < WRITE_CHARS + row
 
     def test_bfile_streams_in_batches(self, monkeypatch):

@@ -31,6 +31,7 @@ EXPORTS = {
         "D", "U", "Endpoint", "MarkedPath", "Path", "count_factor", "ddu_udu_counts",
         "enumerate_dyck", "enumerate_lattice", "factor_occurrences", "is_dyck",
         "reverse_complement", "units",
+        "enumerate_dyck_texts",
     ),
     "verify": (
         "VerifyReport", "run_suite", "verify_bijections", "verify_distributions",

@@ -21,6 +21,7 @@ from catalan_lab import (
     count_factor,
     ddu_udu_counts,
     enumerate_dyck,
+    enumerate_dyck_texts,
     enumerate_lattice,
     factor_occurrences,
     insert_ud,
@@ -238,6 +239,29 @@ class TestEnumerateDyck:
             ValueError, match="CATALAN_LAB_MAX_N must be nonnegative, got -5"
         ):
             next(enumerate_dyck(0))
+
+
+class TestEnumerateDyckTexts:
+    """The text of each enumerated path, written with no Path built."""
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_texts_of_enumerate_dyck(self, n):
+        assert list(enumerate_dyck_texts(n)) == [str(p) for p in enumerate_dyck(n)]
+
+    def test_negative_size_same_error(self):
+        with pytest.raises(ValueError) as dyck:
+            enumerate_dyck(-1)
+        with pytest.raises(ValueError) as texts:
+            enumerate_dyck_texts(-1)
+        assert str(texts.value) == str(dyck.value) == "size must be nonnegative, got -1"
+
+    def test_ceiling_refused_on_call(self):
+        # the refusal comes before the first next(), so before any output
+        with pytest.raises(EnumerationLimitError, match="ceiling 5"):
+            enumerate_dyck_texts(6, max_n=5)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_dyck_texts(17)
+        assert sum(1 for _ in enumerate_dyck_texts(5, max_n=5)) == catalan(5)
 
 
 class TestEnumerateLattice:
