@@ -23,21 +23,21 @@ from itertools import accumulate, chain, islice, repeat
 from .paths import _Value
 from .words import StatId, StatKind
 
-# Binomials up to this row come from a memoized Pascal triangle; larger
-# arguments fall back to math.comb. Identity sweeps to n=300 need row 602.
-# Only rows up to _HELD_ROWS are kept whole, each as its first half, C(m, i)
-# for i <= m // 2: about 1.4 MB. They cover every row read whole: the
-# binomial-product-sum dot product and its product columns, which memoize
-# C(m, k) * C(m-k, k), each computed once, under 2 MB in all. The rows above
-# them, up to the limit, serve point reads of a few hundred central entries
-# from _far, a memo of math.comb bounded to 1,024 entries, about 0.3 MB.
-# Two running sums of the identities are memoized as prefix tables, each entry
-# stored only while its terms read rows up to the limit: _pair_sums and
-# _mark_sums, at most 322 and 321 entries, about 25 KB each. The sym-valley
-# totals that sym-valley-mark-sum checks them against are stepped once, by
-# closed_totals, into _sym_valley_totals: _HELD_ROWS entries, about 25 KB.
-# Binomials along a diagonal, and their sums, never read the table past their
-# first term: _diagonal steps from term to term by the term ratio.
+# Every memo but _far grows under the reentrant _rows_lock, through _grow or,
+# for _sym_valley_totals, in one step: whole entries, each computed once, that
+# readers read without the lock. Binomials up to PASCAL_ROW_LIMIT come from a
+# memoized Pascal triangle; larger arguments fall back to math.comb. Identity
+# sweeps to n=300 need row 602. Rows up to _HELD_ROWS are held whole, each as
+# its first half, C(m, i) for i <= m // 2: about 1.4 MB. They cover every row
+# read whole: the binomial-product-sum dot product and its product columns of
+# C(m, k) * C(m-k, k), under 2 MB in all. Rows above them, up to the limit,
+# serve point reads of a few hundred central entries from _far, math.comb
+# memoized to 1,024 entries, about 0.3 MB. The running sums of two identities,
+# _pair_sums and _mark_sums, keep the entries whose terms read rows up to the
+# limit: at most 322 and 321, about 25 KB each. _sym_valley_totals holds the
+# _HELD_ROWS sym-valley totals they are checked against, stepped once by
+# closed_totals: about 25 KB. Binomials along a diagonal, and their sums,
+# never read the table past their first term: _diagonal steps by term ratio.
 PASCAL_ROW_LIMIT = 640
 _HELD_ROWS = PASCAL_ROW_LIMIT // 2
 
@@ -47,32 +47,39 @@ _pair_sums: list[int] = [0, 0]  # _pair_sums[h] = _pair_sum(h)
 _mark_sums: list[int] = [0, 0, 0]  # _mark_sums[h] = sum of _mark_term(m), m < h
 # _sym_valley_totals[n - 1] = closed_total(n, sym-valley) for n <= _HELD_ROWS
 _sym_valley_totals: list[int] = []
-_rows_lock = threading.Lock()  # held while _rows or a memo beside it grows
+_rows_lock = threading.RLock()  # held while a memo grows
 # C(m, i) for _HELD_ROWS < m <= PASCAL_ROW_LIMIT and i <= m // 2; thread-safe
 # without _rows_lock
 _far = functools.lru_cache(maxsize=1024)(math.comb)
 
 
+def _grow(table: list, size: int, entry: Callable[[int], object]) -> None:
+    """Append ``entry(i)`` to ``table`` for i = len(table), ..., size - 1.
+
+    The one way a memo grows entry by entry. It holds _rows_lock, so each
+    entry is appended whole and never twice, and readers, who take no lock,
+    see whole entries only. ``entry`` may read binomials and grow other
+    tables, since the lock is reentrant.
+    """
+    with _rows_lock:
+        while len(table) < size:
+            table.append(entry(len(table)))
+
+
+def _next_row(m: int) -> list[int]:
+    """Row m of the held table, from row m - 1."""
+    prev = _rows[m - 1]
+    row = [1, *map(operator.add, prev, prev[1:])]
+    if m % 2 == 0:  # C(2h, h) = 2 C(2h-1, h-1)
+        row.append(2 * prev[-1])
+    return row
+
+
 def _pascal_row(n: int) -> list[int]:
     """Row n of the held table, for n <= _HELD_ROWS."""
     if n >= len(_rows):
-        # rows are appended fully built, so readers only ever see complete rows
-        with _rows_lock:
-            while len(_rows) <= n:
-                prev = _rows[-1]
-                row = [1, *map(operator.add, prev, prev[1:])]
-                if len(_rows) % 2 == 0:  # C(2h, h) = 2 C(2h-1, h-1)
-                    row.append(2 * prev[-1])
-                _rows.append(row)
+        _grow(_rows, n + 1, _next_row)
     return _rows[n]
-
-
-def _stored(n: int, k: int) -> int:
-    """C(n, k) for 0 <= k <= n <= PASCAL_ROW_LIMIT, from a held row already
-    built or from _far: it never takes _rows_lock, so the prefix tables read
-    it while they hold the lock."""
-    k = k if 2 * k <= n else n - k
-    return _rows[n][k] if n <= _HELD_ROWS else _far(n, k)
 
 
 def binomial(n: int, k: int) -> int:
@@ -315,22 +322,17 @@ class Identity(_Value):
 
 
 def _running_sum(sums: list[int], term: Callable[..., int], reach: int, hi: int) -> int:
-    """``sums[hi]``, the sum of ``term(i, binomial)`` over i < hi, where term i
-    reads rows up to 2i + reach. Entries are stored while their terms read the
+    """``sums[hi]``, the sum of ``term(i)`` over i < hi, where term i reads
+    rows up to 2i + reach. Entries are stored while their terms read the
     Pascal table; terms past the last stored entry are added to it unstored."""
     last = max(min(hi, (PASCAL_ROW_LIMIT - reach) // 2 + 1), 0)
     if last >= len(sums):
-        # before the lock: _pascal_row takes it too
-        _pascal_row(min(2 * last - 2 + reach, _HELD_ROWS))
-        # entries are appended fully built, under the lock, and never twice
-        with _rows_lock:
-            while len(sums) <= last:
-                sums.append(sums[-1] + term(len(sums) - 1, _stored))
-    return sum((term(i, binomial) for i in range(last, hi)), sums[last])
+        _grow(sums, last + 1, lambda h: sums[h - 1] + term(h - 1))
+    return sum(map(term, range(last, hi)), sums[last])
 
 
-def _pair_term(i: int, c: Callable[[int, int], int]) -> int:
-    return c(2 * i, i - 1) + c(2 * i - 1, i)
+def _pair_term(i: int) -> int:
+    return binomial(2 * i, i - 1) + binomial(2 * i - 1, i)
 
 
 def _pair_sum(hi: int) -> int:
@@ -372,14 +374,12 @@ def _product_column(k: int, top: int) -> list[int]:
     """C(m, k) * C(m-k, k) for m = 2k, 2k+1, ..., up to top at least, for
     top <= _HELD_ROWS."""
     if k >= len(_columns) or 2 * k + len(_columns[k]) <= top:
-        _pascal_row(top)  # before the lock: _pascal_row takes it too
-        # entries are appended fully built, under the lock, and never twice
-        with _rows_lock:
-            while len(_columns) <= k:
-                _columns.append([])
-            column = _columns[k]
-            for m in range(2 * k + len(column), top + 1):
-                column.append(_rows[m][k] * _rows[m - k][min(k, m - 2 * k)])
+        _grow(_columns, k + 1, lambda _: [])
+
+        def entry(i: int) -> int:  # m = 2k + i; min(k, i) written out, as in binomial
+            return _pascal_row(2 * k + i)[k] * _pascal_row(k + i)[k if k <= i else i]
+
+        _grow(_columns[k], top - 2 * k + 1, entry)
     return _columns[k]
 
 
@@ -422,8 +422,8 @@ def _semi_perimeter_split(n: int) -> tuple[int, int]:
     return lhs, short if mid == lhs else mid
 
 
-def _mark_term(m: int, c: Callable[[int, int], int]) -> int:
-    return _marked_high_ups(m, c(2 * m, m), c(2 * m + 2, m + 1))
+def _mark_term(m: int) -> int:
+    return _marked_high_ups(m, binomial(2 * m, m), binomial(2 * m + 2, m + 1))
 
 
 def _sym_valley_total(n: int) -> int:
@@ -431,12 +431,11 @@ def _sym_valley_total(n: int) -> int:
     if n > _HELD_ROWS:
         return closed_total(n, StatId(StatKind.SYM_VALLEY))
     if not _sym_valley_totals:
-        # before the lock: closed_totals reads binomial, which may take it
-        totals = closed_totals(StatId(StatKind.SYM_VALLEY), 1, _HELD_ROWS)
-        # published fully built, under the lock, and never twice
-        with _rows_lock:
+        with _rows_lock:  # filled whole, in one step, and never twice
             if not _sym_valley_totals:
-                _sym_valley_totals.extend(totals)
+                _sym_valley_totals.extend(
+                    closed_totals(StatId(StatKind.SYM_VALLEY), 1, _HELD_ROWS)
+                )
     return _sym_valley_totals[n - 1]
 
 

@@ -402,6 +402,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
 
     for length in range(1, 6):
         # cycle lemma: exactly one rotation has all-positive partial sums
+        scanned = unique = 0
         for vals in itertools.product(range(-2, 3), repeat=length):
             if sum(vals) != 1:
                 continue
@@ -410,9 +411,12 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
                 for r in range(1, length + 1)
                 if min(itertools.accumulate(vals[r - 1 :] + vals[: r - 1])) > 0
             ]
-            if valid != [bij.raney_shift(vals)]:
+            scanned += 1
+            if valid == [bij.raney_shift(vals)]:
+                unique += 1
+            else:
                 rpt.check(f"raney uniqueness {vals}", [bij.raney_shift(vals)], valid)
-        rpt.check(f"raney uniqueness scanned length {length}", True, True)
+        rpt.check(f"raney uniqueness scanned length {length}", scanned, unique)
 
     for n in range(1, n_max + 1):
         # marked-set cardinalities against their closed forms

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
@@ -716,6 +717,18 @@ def literal_product_sum(n, k):
     )
 
 
+# the product columns, filled first in a fresh interpreter, before any Pascal
+# row beyond row 0 is built
+PRODUCT_FIRST = """
+import sys
+from catalan_lab import formulas
+assert len(formulas._rows) == 1
+ident = formulas.IdentityId.BINOMIAL_PRODUCT_SUM
+res = formulas.identity_check(ident, 300, int(sys.argv[1]))
+print(res.holds, res.lhs)
+"""
+
+
 class TestPairedProductSum:
     """The held-row lhs of binomial-product-sum multiplies each C(n-1, i),
     i <= (n-1) // 2, once, by the column entries of m = i and m = n-1-i."""
@@ -736,6 +749,14 @@ class TestPairedProductSum:
         for n, k in unpaired:
             res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
             assert res.lhs == literal_product_sum(n, k), (n, k)
+
+    @pytest.mark.parametrize("k", [0, 100, 149])
+    def test_first_call_in_a_fresh_process_returns(self, k):
+        proc = subprocess.run(
+            [sys.executable, "-c", PRODUCT_FIRST, str(k)],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.split() == ["True", str(literal_product_sum(300, k))]
 
 
 # the sym-valley totals memo, filled first in a fresh interpreter, before any
@@ -809,6 +830,76 @@ class TestSymValleyTotals:
         assert not errors, errors[:3]
         # filled once: HELD entries, not a second copy appended
         assert formulas._sym_valley_totals == literal
+
+
+class TestOneLock:
+    """Every memo grows under one reentrant lock, and the growth of one may
+    grow another: the prefix tables and the sym-valley totals read Pascal
+    rows, and so do the product columns."""
+
+    def test_concurrent_growth_across_tables(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_rows", [[1]])
+        monkeypatch.setattr(formulas, "_columns", [])
+        monkeypatch.setattr(formulas, "_pair_sums", [0, 0])
+        monkeypatch.setattr(formulas, "_mark_sums", [0, 0, 0])
+        monkeypatch.setattr(formulas, "_sym_valley_totals", [])
+        sizes = range(2, 100)
+        idents = [
+            IdentityId.LAST_PASSAGE_SUM,
+            IdentityId.BINOMIAL_PRODUCT_SUM,
+            IdentityId.SYM_VALLEY_MARK_SUM,
+        ]
+        errors = []
+
+        def worker(t):
+            # each thread starts the sweep at another n, and with another
+            # identity: a table asked first for a new n builds the rows its
+            # entries read while it grows
+            shift, order = 8 * t, idents[t % 3 :] + idents[: t % 3]
+            try:
+                for n in [*sizes[shift:], *sizes[:shift]]:
+                    for ident in order:
+                        ks = IDENTITIES[ident].ks
+                        for k in [None] if ks is None else ks(n):
+                            if not identity_check(ident, n, k).holds:
+                                errors.append((ident, n, k))
+                    # a plain read of a row that last-passage-sum has read
+                    if binomial(2 * n - 1, n // 3) != math.comb(2 * n - 1, n // 3):
+                        errors.append(("binomial", n))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(repr(exc))
+
+        # daemon threads, so that a deadlock fails the test and not the run
+        threads = [
+            threading.Thread(target=worker, args=(t,), daemon=True) for t in range(12)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 120
+            for t in threads:
+                t.join(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        # every entry appended once, in order, up to the largest n asked
+        top = sizes[-1]
+        assert formulas._pair_sums == literal_pair_sums(top)
+        assert formulas._mark_sums == literal_mark_sums(top - 1)
+        assert formulas._columns == [
+            [math.comb(m, k) * math.comb(m - k, k) for m in range(2 * k, top)]
+            for k in range((top - 1) // 2 + 1)
+        ]
+        assert formulas._sym_valley_totals == [
+            closed_total(n, StatId(StatKind.SYM_VALLEY)) for n in range(1, HELD + 1)
+        ]
+        assert formulas._rows == [
+            [math.comb(m, i) for i in range(m // 2 + 1)]
+            for m in range(len(formulas._rows))
+        ]
 
 
 class TestOracleAgreement:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_lab import D, U, catalan, paths
+from catalan_lab import D, U, bijections, catalan, paths
 from catalan_lab.formulas import IDENTITIES, Identity, IdentityId
 from catalan_lab.verify import (
     FACTOR_COUNTS,
@@ -155,6 +155,18 @@ def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
     bijections = verify_bijections(5)
     assert [desc for desc, _, _ in bijections.failures] == [
         f"marked factor counts n={n}" for n in range(1, 6)
+    ]
+
+
+def test_broken_raney_shift_fails_each_scanned_length(monkeypatch):
+    # at n_max = 0 the slot covering, the other reader of raney_shift, is skipped
+    monkeypatch.setattr(bijections, "raney_shift", lambda values: 1)
+    report = verify_bijections(0)
+    descriptions = [desc for desc, _, _ in report.failures]
+    assert all(desc.startswith("raney uniqueness ") for desc in descriptions)
+    # of length 1 only (1,) sums to 1, and shift 1 is its one rotation
+    assert [desc for desc in descriptions if "scanned" in desc] == [
+        f"raney uniqueness scanned length {length}" for length in range(2, 6)
     ]
 
 
