@@ -2,10 +2,10 @@
 totals, stratified Dyck path counts, and two-sided identity evaluation.
 
 Each statistic's total is one closed form, ``_form``, written in diagonal
-binomials C(2m+a, m+b) and their running sums over m. ``closed_total``
-evaluates it at one n from binomials; ``closed_totals`` evaluates it at
-consecutive n, stepping each diagonal from one n to the next by its term
-ratio.
+binomials C(2m+a, m+b) and their running sums over m, and evaluated one way:
+``closed_totals`` starts each diagonal at its first n from one binomial and
+steps it to the next n by its term ratio. ``closed_total`` is its one-term
+case.
 
 Everything is arbitrary-precision integer arithmetic. Binomials follow a
 single global convention: out-of-range arguments give 0. An inexact
@@ -138,14 +138,9 @@ def _diagonal(a: int, b: int, m: int) -> Iterator[int]:
 
 
 def _diagonal_sums(a: int, b: int, lo: int, hi: int) -> Iterator[int]:
-    """_diagonal_sum(a, b, lo, h) for h = hi, hi+1, ..., one running sum."""
+    """Sums of C(2m+a, m+b) over lo <= m <= h for h = hi, hi+1, ..., one running sum."""
     sums = accumulate(_diagonal(a, b, lo), initial=0)
     return chain(repeat(0, lo - 1 - hi), islice(sums, max(hi - lo + 1, 0), None))
-
-
-def _diagonal_sum(a: int, b: int, lo: int, hi: int) -> int:
-    """Sum of C(2m+a, m+b) over lo <= m <= hi, stepped by the term ratio."""
-    return next(_diagonal_sums(a, b, lo, hi))
 
 
 def _marked_high_ups(m: int, central: int, next_central: int) -> int:
@@ -158,7 +153,7 @@ def _marked_high_ups(m: int, central: int, next_central: int) -> int:
 
 
 def _form(s: StatId) -> Callable[[int, Callable[..., int]], int]:
-    """The closed form of statistic ``s``, as ``form(n, c)``, for both evaluators.
+    """The closed form of statistic ``s``, as ``form(n, c)``, for ``closed_totals``.
 
     ``c(a, b, k)`` is the diagonal binomial C(2m+a, m+b) at m = n + k, and
     ``c(a, b, k, lo)`` is its sum over lo <= m <= n + k.
@@ -203,23 +198,16 @@ def closed_total(n: int, s: StatId) -> int:
     """
     if n < 1:
         raise ValueError(f"closed_total is defined for n >= 1, got {n}")
-
-    def c(a: int, b: int, k: int = 0, lo: int | None = None) -> int:
-        m = n + k
-        if lo is None:
-            return binomial(2 * m + a, m + b)
-        return _diagonal_sum(a, b, lo, m)
-
-    return _form(s)(n, c)
+    return closed_totals(s, n, 1)[0]
 
 
 def closed_totals(s: StatId, first: int, count: int) -> list[int]:
     """``closed_total(n, s)`` for n = first, ..., first + count - 1, in one pass.
 
-    The same closed forms as ``closed_total``, with each diagonal binomial
-    and each diagonal sum a stream stepped from one n to the next by its term
-    ratio, so a term costs a few big-integer products rather than fresh
-    binomials.
+    Each diagonal binomial and each diagonal sum is a stream that starts at
+    the n of its first read from one binomial and steps from one n to the
+    next by its term ratio, so a later term costs a few big-integer products
+    rather than fresh binomials.
     """
     if first < 1:
         raise ValueError(f"first n must be at least 1, got {first}")
@@ -466,9 +454,6 @@ IDENTITIES: dict[IdentityId, Identity] = {
         1, lambda n: (n * catalan(n), binomial(2 * n, n - 1))
     ),
 }
-
-# Smallest n for which each identity is claimed, read from the table.
-IDENTITY_FLOOR = {ident: entry.floor for ident, entry in IDENTITIES.items()}
 
 
 def identity_check(ident: IdentityId, n: int, k: int | None = None) -> IdentityResult:

@@ -455,15 +455,14 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     return rpt
 
 
-def _check_map(rpt, label, domain, forward, inverse, expected) -> tuple[int, int]:
+def _check_map(rpt, label, domain, forward, inverse, expected) -> None:
     """Check in one pass that ``forward`` maps ``domain`` one to one onto
     the paths of ``expected`` and that ``inverse`` maps each image back.
 
     ``label`` names the checks, with ``{}`` for the name of each. ``domain``
     is read once, so it may be a generator. An image equal to an expected
     path is kept as that path, and the expected set is copied only when the
-    images differ from it, so no path is held twice. Returns the numbers of
-    inputs and of distinct expected paths.
+    images differ from it, so no path is held twice.
     """
     canonical = {p: p for p in expected}
     images = set()
@@ -477,7 +476,6 @@ def _check_map(rpt, label, domain, forward, inverse, expected) -> tuple[int, int
     expected_set = images if images == canonical.keys() else set(canonical)
     rpt.check(label.format("image set"), expected_set, images)
     rpt.check(label.format("round trips"), 0, errors)
-    return count, len(canonical)
 
 
 def _check_entry(rpt, entry: Bijection, n: int, dyck) -> tuple[int, int]:

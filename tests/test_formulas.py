@@ -24,13 +24,13 @@ from catalan_lab import (
     dyck_count_by_ddu_udu,
     identity_check,
     narayana,
+    sweep_totals,
 )
 from catalan_lab import formulas
 from catalan_lab.formulas import (
     IDENTITIES,
-    IDENTITY_FLOOR,
     PASCAL_ROW_LIMIT,
-    _diagonal_sum,
+    _diagonal_sums,
 )
 
 
@@ -234,14 +234,15 @@ class TestDiagonalSum:
                         expected = sum(
                             comb0(2 * m + a, m + b) for m in range(lo, hi + 1)
                         )
-                        assert _diagonal_sum(a, b, lo, hi) == expected, (a, b, lo, hi)
+                        got = next(_diagonal_sums(a, b, lo, hi))
+                        assert got == expected, (a, b, lo, hi)
 
     def test_leading_zero_terms_and_empty_ranges(self):
         # C(2m-1, m-3) is zero for m < 3
-        assert _diagonal_sum(-1, -3, 0, 2) == 0
-        assert _diagonal_sum(-1, -3, 0, 3) == 1
-        assert _diagonal_sum(0, 0, 5, 4) == 0
-        assert _diagonal_sum(2, 0, 0, -1) == 0
+        assert next(_diagonal_sums(-1, -3, 0, 2)) == 0
+        assert next(_diagonal_sums(-1, -3, 0, 3)) == 1
+        assert next(_diagonal_sums(0, 0, 5, 4)) == 0
+        assert next(_diagonal_sums(2, 0, 0, -1)) == 0
 
     @pytest.mark.parametrize("s", list(DEFINITIONAL_TOTALS), ids=str)
     def test_all_ell_totals_across_row_limit(self, s):
@@ -279,6 +280,17 @@ class TestClosedTotals:
         for first in (1, 2, 3, 7):
             got = closed_totals(s, first, last - first + 1)
             assert got == expected[first - 1:], (s, first)
+
+    def test_per_ell_runs_match_the_count_oracle(self):
+        # EVERY_STAT steps ell <= 3 only; here every ell <= 40 is stepped
+        # from n = 1, against the counted totals of the words
+        last = 40
+        sweeps = [sweep_totals(n, max_n=last) for n in range(1, last + 1)]
+        for kind in PATTERN_KINDS:
+            for ell in range(1, last + 1):
+                s = StatId(kind, ell)
+                counted = [sweep.total(s) for sweep in sweeps]
+                assert closed_totals(s, 1, last) == counted, s
 
     @pytest.mark.parametrize("first, count", [(0, 3), (-2, 3), (1, 0), (5, -1)])
     def test_rejects_first_or_count_below_one(self, first, count):
@@ -406,7 +418,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_holds_on_sample_range(self, ident):
-        floor = IDENTITY_FLOOR[ident]
+        floor = IDENTITIES[ident].floor
         for n in range(floor, 60):
             if ident is IdentityId.BINOMIAL_PRODUCT_SUM:
                 for k in range((n - 1) // 2 + 1):
@@ -489,7 +501,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_floor_enforced(self, ident):
-        floor = IDENTITY_FLOOR[ident]
+        floor = IDENTITIES[ident].floor
         if floor > 1:
             with pytest.raises(ValueError):
                 identity_check(ident, floor - 1)
@@ -537,7 +549,8 @@ class TestPrefixTables:
 
     @pytest.mark.parametrize("ident", ["SYM_VALLEY_MARK_SUM", "LAST_PASSAGE_SUM"])
     def test_first_call_in_a_fresh_process_returns(self, ident):
-        # the rows a table reads are built before it takes the rows' lock
+        # a table's entries build the Pascal rows they read while the table
+        # grows, under the same reentrant lock
         proc = subprocess.run(
             [sys.executable, "-c", FIRST_CALL, ident],
             capture_output=True, text=True, timeout=60, check=True,
@@ -793,8 +806,8 @@ class TestSymValleyTotals:
         assert len(formulas._sym_valley_totals) == HELD
 
     def test_first_call_in_a_fresh_process_returns(self):
-        # closed_totals builds Pascal rows, under their lock, before the memo
-        # takes the lock to publish its entries
+        # closed_totals builds Pascal rows while the memo holds the lock to
+        # publish its entries; the lock is reentrant
         proc = subprocess.run(
             [sys.executable, "-c", MEMO_FIRST],
             capture_output=True, text=True, timeout=60, check=True,
