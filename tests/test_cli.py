@@ -816,6 +816,28 @@ class TestPathOutputPins:
         assert self.digest(out) == self.SAMPLE[n, count, seed, fmt]
 
 
+class TestSampleWorkloadPins:
+    """stdout (size and sha256) of the two ``sample`` commands of the
+    benchmark's ``bijective`` workload, recorded while ``sample`` still
+    printed ``str()`` of a ``Path`` per draw."""
+
+    PINS = {
+        ("200", "5000", "1", "plain"): (2005000, "31b025c489ac7639cd6675f99fcfacf8dc3da748c7794d316e5b0ace89f82340"),
+        ("200", "5000", "1", "json"): (2143890, "ff06c3ab119941f995523abf15435005d8244633c2ae751100bebbd159627780"),
+        ("100000", "10", "2", "plain"): (2000010, "530148771e90624f2cb7a7ae5c4b345a0b76c42772a7e97d370ca40f01bf0c54"),
+    }
+
+    @pytest.mark.parametrize(("n", "count", "seed", "fmt"), PINS)
+    def test_workload_sample_bytes_pinned(self, capsys, n, count, seed, fmt):
+        code, out, err = run_cli(
+            capsys, "sample", "--n", n, "--count", count, "--seed", seed,
+            "--format", fmt,
+        )
+        data = out.encode()
+        assert (code, err) == (0, "")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.PINS[n, count, seed, fmt]
+
+
 _GOLDEN_TABLES = [
     "enumerate --kind words --n 3",
     "enumerate --kind words --n 0",
