@@ -63,6 +63,7 @@ _EXPORTS = {
         "factor_occurrences",
         "is_dyck",
         "random_dyck_path",
+        "random_dyck_text",
         "raney_shift",
         "reverse_complement",
         "units",

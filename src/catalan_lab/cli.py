@@ -21,10 +21,10 @@ from types import SimpleNamespace
 
 from .formulas import closed_total, narayana
 from .limits import SUITE_CAPS, EnumerationLimitError
-# enumerate_dyck stays importable from here, though no command reads it:
-# benchmark/tracing.py wraps cli.enumerate_dyck by name
-from .paths import enumerate_dyck  # noqa: F401
-from .paths import enumerate_dyck_texts, random_dyck_path
+# enumerate_dyck and random_dyck_path stay importable from here, though no
+# command reads them: benchmark/tracing.py wraps both by their cli names
+from .paths import enumerate_dyck, random_dyck_path  # noqa: F401
+from .paths import enumerate_dyck_texts, random_dyck_text
 from .words import (
     ADJACENCY_INCREMENTS,
     StatId,
@@ -274,7 +274,7 @@ def cmd_sample(args) -> int:
         raise ValueError(f"sample count must be positive, got {args.count}")
     rng = random.Random(args.seed)
     rows = (
-        {"index": i, "value": str(random_dyck_path(args.n, rng))}
+        {"index": i, "value": random_dyck_text(args.n, rng)}
         for i in range(args.count)
     )
     _write_rows(args.format, ["index", "value"], rows, itemgetter("value"))

@@ -7,8 +7,11 @@ the x-axis and never go below it. The module provides ordered enumeration
 occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
 cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
-the random source handed to it. The enumerators, the sampler,
-``reverse_complement``, the maps in ``bijections`` and
+the random source handed to it. It shuffles an arrangement of ``"U"`` and
+``"D"`` characters and cuts each draw's text from their join once:
+``random_dyck_text`` returns that text and builds no ``Path``, and
+``random_dyck_path`` keeps it in the path it builds. The enumerators, the
+sampler, ``reverse_complement``, the maps in ``bijections`` and
 ``verify.negative_final_paths`` build their paths from the ``U`` and ``D``
 constants or from the steps of checked paths, and skip the step check
 through ``_unchecked_path``, which the path enumerator writes out in its
@@ -25,7 +28,7 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, chain, islice, product
+from itertools import accumulate, product
 from operator import attrgetter, indexOf, neg
 
 from .limits import check_ceiling
@@ -36,6 +39,7 @@ D = -1
 _STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
 _step_char = {U: "U", D: "D"}.__getitem__
+_SIGNED_STEPS = bytes.maketrans(b"UD", b"\x01\xff")  # U and D as array("b") items
 _BLOCK = 8  # steps per block of the enumeration tables
 _new = object.__new__
 
@@ -468,6 +472,26 @@ def _shuffle(rng: random.Random, x: list) -> None:
                     low >>= 1
 
 
+def _draw(n: int, rng: random.Random | None) -> tuple[str, array, int]:
+    """One draw of the cycle lemma: the Dyck path's text, the shuffled
+    arrangement as signed steps, and the rotation ``r`` that cuts the path
+    from it, as ``text[r:] + text[:r - 1]`` of the arrangement's text.
+
+    The arrangement is shuffled as one-character strings, so its text is a
+    single join; the signed steps are that text's bytes, translated.
+    """
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    if rng is None:
+        rng = random.Random()
+    arrangement = ["D"] * n + ["U"] * (n + 1)
+    _shuffle(rng, arrangement)
+    text = "".join(arrangement)
+    values = array("b", text.encode("ascii").translate(_SIGNED_STEPS))
+    r = _rotation(values)
+    return text[r:] + text[: r - 1], values, r
+
+
 def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
 
@@ -476,15 +500,16 @@ def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
     without rejection. The only generator method called is
     ``rng.getrandbits``, in blocks, and the words drawn and the state left
-    behind are those of ``rng.shuffle`` on the arrangement.
+    behind are those of ``rng.shuffle`` on the arrangement. The path's text
+    is kept as if already read.
     """
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    if rng is None:
-        rng = random.Random()
-    arrangement = [D] * n + [U] * (n + 1)
-    _shuffle(rng, arrangement)
-    r = _rotation(arrangement)
-    return _unchecked_path(
-        tuple(chain(islice(arrangement, r, None), islice(arrangement, r - 1)))
-    )
+    text, values, r = _draw(n, rng)
+    p = _unchecked_path(tuple(values[r:] + values[: r - 1]))
+    _set_text(p, text)
+    return p
+
+
+def random_dyck_text(n: int, rng: random.Random | None = None) -> str:
+    """The text of ``random_dyck_path(n, rng)``, with the same draws and the
+    same state left in ``rng``, built without a ``Path``."""
+    return _draw(n, rng)[0]

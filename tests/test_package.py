@@ -32,6 +32,7 @@ EXPORTS = {
         "enumerate_dyck", "enumerate_lattice", "factor_occurrences", "is_dyck",
         "reverse_complement", "units",
         "enumerate_dyck_texts",
+        "random_dyck_text",
     ),
     "verify": (
         "VerifyReport", "run_suite", "verify_bijections", "verify_distributions",
