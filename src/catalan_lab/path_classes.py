@@ -1,21 +1,22 @@
-"""Classes of lattice paths, and the check that a map is onto one.
+"""Classes of paths and of marked paths, and the check that a map is onto one.
 
 A ``PathClass`` is the set of up/down paths of one length that a predicate
 accepts, with its size counted apart from the map it checks: by
 ``walk_counts``, which counts paths over their heights step by step, or by a
-filter over enumerated paths. ``check_onto`` checks a map onto a class
-without holding its images: it ranks each image as its U/D text read in
-binary, U = 1 and D = 0, and marks the rank in a bitmap of one byte per
-path of the class length (Nijenhuis and Wilf, *Combinatorial Algorithms*;
-Knuth, *TAOCP* 4A, 7.2.1). The module reads nothing from ``formulas``, as
-the bijection suite compares these sizes with closed forms.
+filter over enumerated paths. A ``MarkedClass`` marks each occurrence of a
+factor on such paths. ``check_onto`` and ``check_image`` rank each image
+without holding it, into a bitmap of one bit per rank: a path ranks as its
+U/D text read in binary, U = 1 and D = 0, and a mark on a path of L steps as
+its path's rank times L plus its start (Nijenhuis and Wilf, *Combinatorial
+Algorithms*; Knuth, *TAOCP* 4A, 7.2.1). The module reads nothing from
+``formulas``, as the bijection suite compares these sizes with closed forms.
 """
 
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable
 
-from .paths import Path, _Value
+from .paths import MarkedPath, Path, _Value
 
 _FEW = 3  # stray and missing paths an image record shows
 _TO_BITS = str.maketrans("UD", "10")
@@ -41,17 +42,56 @@ class PathClass(_Value):
     """The paths of ``length`` steps that ``member`` accepts, ``size`` of them."""
 
     __match_args__ = __slots__ = ("length", "member", "size")
+    ranks = property(lambda self: 1 << self.length)
 
     def __init__(self, length: int, member: Callable[[Path], bool], size: int):
         self._set("length", length)
         self._set("member", member)
         self._set("size", size)
 
+    def rank(self, q: Path) -> int | None:
+        """The rank of ``q``, or None when it is outside the class."""
+        if len(q) == self.length and self.member(q):
+            return int(str(q).translate(_TO_BITS) or "0", 2)
+        return None
+
+    def unrank(self, r: int) -> Path | None:
+        """The class member of rank ``r``, or None when there is none."""
+        bits = format(r | 1 << self.length, "b")[1:]  # all ``length`` digits
+        q = Path.from_string(bits.translate(_TO_STEPS))
+        return q if self.member(q) else None
+
+
+class MarkedClass(PathClass):
+    """Each occurrence of ``factor`` marked on the paths of ``length`` steps
+    that ``member`` accepts, ``size`` of them."""
+
+    __match_args__ = (*PathClass.__match_args__, "factor")
+    __slots__ = ("factor",)
+    ranks = property(lambda self: self.length << self.length)
+
+    def __init__(self, length: int, member: Callable, size: int, factor: tuple):
+        super().__init__(length, member, size)
+        self._set("factor", factor)
+
+    def rank(self, q: MarkedPath) -> int | None:
+        r = super().rank(q.path)
+        if r is not None and q.marked_factor == self.factor:
+            return r * self.length + q.mark_start
+        return None
+
+    def unrank(self, r: int) -> MarkedPath | None:
+        p = super().unrank(r // self.length)
+        start, m = r % self.length, len(self.factor)
+        if p is not None and p.steps[start : start + m] == self.factor:
+            return MarkedPath(p, start, m)
+        return None
+
 
 class ImageRecord(_Value):
     """How the images of a map miss its class: the numbers of distinct stray
-    images, outside the class, and of class paths no input reaches, with the
-    first few of each. A map onto its class has ``ONTO``."""
+    images, outside the class, and of class members no input reaches, with
+    the first few of each. A map onto its class has ``ONTO``."""
 
     __match_args__ = __slots__ = ("strays", "missing", "first_strays", "first_missing")
 
@@ -59,8 +99,8 @@ class ImageRecord(_Value):
         self,
         strays: int,
         missing: int,
-        first_strays: tuple[Path, ...] = (),
-        first_missing: tuple[Path, ...] = (),
+        first_strays: tuple[Path | MarkedPath, ...] = (),
+        first_missing: tuple[Path | MarkedPath, ...] = (),
     ):
         self._set("strays", strays)
         self._set("missing", missing)
@@ -71,54 +111,54 @@ class ImageRecord(_Value):
 ONTO = ImageRecord(0, 0)
 
 
+def _rank_images(images: Iterable, image: PathClass) -> tuple[ImageRecord, int, int]:
+    """How ``images`` miss the class ``image``, their number and the number
+    of distinct ones. ``images`` is read once and only its strays are kept;
+    the first missing members are unranked from the bitmap's zeros, from the
+    top rank down (U before D), only when some are missing."""
+    seen = bytearray((image.ranks + 7) >> 3)
+    strays: dict[Path | MarkedPath, None] = {}  # in the order they were met
+    count = ranked = 0
+    for q in images:
+        count += 1
+        if (r := image.rank(q)) is None:
+            strays[q] = None
+        elif not seen[r >> 3] & 1 << (r & 7):
+            seen[r >> 3] |= 1 << (r & 7)
+            ranked += 1
+    missing = image.size - ranked
+    unmarked, r = [], image.ranks
+    while missing > 0 and len(unmarked) < _FEW and (r := r - 1) >= 0:
+        if not seen[r >> 3] & 1 << (r & 7) and (q := image.unrank(r)) is not None:
+            unmarked.append(q)
+    first_strays = tuple(itertools.islice(strays, _FEW))
+    record = ImageRecord(len(strays), missing, first_strays, tuple(unmarked))
+    return record, count, ranked + len(strays)
+
+
+def check_image(rpt, description: str, images: Iterable, image: PathClass) -> None:
+    """Check that ``images`` fall in the class ``image`` and cover it."""
+    rpt.check(description, ONTO, _rank_images(images, image)[0])
+
+
 def check_onto(
     rpt, label: str, domain: Iterable, forward, inverse, image: PathClass
 ) -> int:
     """Check in one pass that ``forward`` maps ``domain`` one to one onto the
     class ``image`` and that ``inverse`` maps each image back; return the
-    number of inputs.
+    number of inputs. ``rpt.check(description, expected, got)`` records the
+    three checks, named by ``label`` with ``{}`` for the name of each."""
+    errors = 0
 
-    ``rpt.check(description, expected, got)`` records the four checks, named
-    by ``label`` with ``{}`` for the name of each. ``domain`` is read once,
-    so it may be a generator. The map is onto its class when no image is a
-    stray, no rank repeats and there are as many inputs as class paths. Only
-    the strays are kept, for the record; the missing paths are unranked from
-    the bitmap's zeros only when there are some.
-    """
-    length, member = image.length, image.member
-    seen = bytearray(1 << length)
-    strays: dict[Path, None] = {}  # in the order they were met
-    errors = count = 0
-    for x in domain:
-        q = forward(x)
-        if len(q) == length and member(q):
-            seen[int(str(q).translate(_TO_BITS), 2)] = 1
-        else:
-            strays[q] = None
-        errors += inverse(q) != x
-        count += 1
-    ranked = seen.count(1)
-    rpt.check(label.format("images distinct"), count, ranked + len(strays))
-    missing = image.size - ranked
-    record = ONTO
-    if strays or missing:
-        first_missing = _unmarked(seen, image) if missing > 0 else ()
-        first_strays = tuple(itertools.islice(strays, _FEW))
-        record = ImageRecord(len(strays), missing, first_strays, first_missing)
+    def images():
+        nonlocal errors
+        for x in domain:
+            q = forward(x)
+            errors += inverse(q) != x
+            yield q
+
+    record, count, distinct = _rank_images(images(), image)
+    rpt.check(label.format("images distinct"), count, distinct)
     rpt.check(label.format("image set"), ONTO, record)
     rpt.check(label.format("round trips"), 0, errors)
-    rpt.check(label.format("domain size"), count, image.size)
     return count
-
-
-def _unmarked(seen: bytearray, image: PathClass) -> tuple[Path, ...]:
-    """The first few class paths, in order (U before D), whose rank is not
-    marked in ``seen``."""
-    found = []
-    r = len(seen)
-    while len(found) < _FEW and (r := seen.rfind(0, 0, r)) >= 0:
-        text = format(r, f"0{image.length}b").translate(_TO_STEPS)
-        q = Path.from_string(text)
-        if image.member(q):
-            found.append(q)
-    return tuple(found)

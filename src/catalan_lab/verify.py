@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Sequence
 from . import bijections as bij
 from . import formulas
 from .limits import SUITE_CAPS
-from .path_classes import PathClass, check_onto, walk_counts
+from .path_classes import MarkedClass, PathClass, check_image, check_onto, walk_counts
 from .paths import (
     D,
     U,
@@ -207,6 +207,11 @@ def _has_two_units(q: Path) -> bool:
     return is_dyck(q) and len(units(q)) >= 2
 
 
+def _dyck_class(n: int) -> PathClass:
+    """The Dyck paths of 2n steps, counted over their heights."""
+    return PathClass(2 * n, is_dyck, walk_counts(2 * n, 0)[0])
+
+
 BIJECTIONS: dict[str, Bijection] = {
     # balanced paths staying above level -2 match Dyck paths one size up
     "low-path": Bijection(
@@ -214,7 +219,7 @@ BIJECTIONS: dict[str, Bijection] = {
         sizes=lambda n_max: range(1, n_max + 1),
         forward=bij.low_path_to_dyck,
         inverse=bij.dyck_to_low_path,
-        image=lambda n, dyck: PathClass(2 * n, is_dyck, len(dyck[n])),
+        image=lambda n, dyck: _dyck_class(n),
         domain=lambda n: [
             p for p in enumerate_lattice(2 * n - 2, 0) if p.min_height >= -1
         ],
@@ -276,7 +281,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         rc = [reverse_complement(p) for p in dyck[n]]
         rc_bad = sum(reverse_complement(q) != p for p, q in zip(dyck[n], rc))
         rpt.check(f"reverse-complement involution on Dyck n={n}", 0, rc_bad)
-        rpt.check(f"reverse-complement image n={n}", set(dyck[n]), set(rc))
+        check_image(rpt, f"reverse-complement image n={n}", rc, _dyck_class(n))
     del rc  # free the last images before the larger domains below
 
     for n in range(n_max + 1):
@@ -286,7 +291,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         errors = sum(path_to_word(p) != w for w, p in zip(ws, images))
         errors += sum(word_to_path(path_to_word(p)) != p for p in dyck[n])
         rpt.check(f"word/path round trips n={n}", 0, errors)
-        rpt.check(f"word/path image n={n}", set(dyck[n]), set(images))
+        check_image(rpt, f"word/path image n={n}", images, _dyck_class(n))
     del ws, images  # free the largest words and images, as rc above
 
     sizes = {}  # (entry name, n) -> numbers of inputs and of image class paths
@@ -297,48 +302,33 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     for n in range(4, n_max + 1):
         # inserting the valley factor after high up steps hits every occurrence
         for ell in range(1, n - 2):
-            _check_map(
-                rpt,
-                f"valley insert {{}} n={n} ell={ell}",
-                (
-                    (mp, ell)
-                    for mp in marked_set(dyck[n - ell - 1], (U,), min_end_height=2)
-                ),
-                lambda x: bij.sym_valley_insert(*x),
-                bij.sym_valley_remove,
-                marked_set(dyck[n], bij.sym_valley_pattern(ell)),
-            )
+            _check_valley(rpt, n, ell, dyck)
 
     # the (ddu, udu) counts of every Dyck path, read by the next two blocks
     profiles = {p: ddu_udu_counts(p) for m in range(n_max + 1) for p in dyck[m]}
     for n in range(1, n_max + 1):
         # run-length vectors of UDU-free paths and the slot-fill covering
         by_k: dict[int, list[Path]] = {}
+        errors = 0
         for p in dyck[n]:
             k, j = profiles[p]
             if j == 0:
                 by_k.setdefault(k, []).append(p)
-        errors = 0
-        for k, paths in by_k.items():
-            for p in paths:
                 pv = bij.peak_decompose(p)
-                if bij.peak_rebuild(pv) != p or pv.k != k:
-                    errors += 1
+                errors += bij.peak_rebuild(pv) != p or pv.k != k
         rpt.check(f"peak vector round trips n={n}", 0, errors)
         for k in range((n - 1) // 2 + 1):
-            hits: dict[Path, int] = {}
-            for ys in _weak_compositions(n - k - 1, k + 1):
-                for zs in _positive_compositions(n - k, k + 1):
-                    pv = bij.peak_vector_from_slots(list(zip(ys, zs)))
-                    hits_path = bij.peak_rebuild(pv)
-                    hits[hits_path] = hits.get(hits_path, 0) + 1
-            expected_paths = set(by_k.get(k, []))
-            rpt.check(f"slot covering image n={n} k={k}", expected_paths, set(hits))
-            rpt.check(
-                f"slot covering multiplicity n={n} k={k}",
-                {p: k + 1 for p in expected_paths},
-                hits,
+            hits = Counter(
+                bij.peak_rebuild(bij.peak_vector_from_slots(list(zip(ys, zs))))
+                for ys, zs in itertools.product(
+                    _compositions(n - k - 1, k + 1, 0), _compositions(n - k, k + 1, 1)
+                )
             )
+            paths = by_k.get(k, [])
+            slots = PathClass(2 * n, lambda q: profiles.get(q) == (k, 0), len(paths))
+            check_image(rpt, f"slot covering image n={n} k={k}", hits, slots)
+            expected = dict.fromkeys(paths, k + 1)
+            rpt.check(f"slot covering multiplicity n={n} k={k}", expected, dict(hits))
 
     for n in range(1, n_max + 1):
         # stripping UD factors inverts inserting them, and vice versa
@@ -354,21 +344,17 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
             ):
                 errors += 1
         rpt.check(f"remove/insert UD round trips n={n}", 0, errors)
-        forward_errors = 0
-        seen: set[Path] = set()
-        for j in range(n):
-            m = n - j
-            for pre in dyck[m]:
-                if profiles[pre][1] != 0:
-                    continue
-                for pos in itertools.combinations_with_replacement(range(m), j):
-                    q = bij.insert_ud(pre, pos)
-                    seen.add(q)
-                    if bij.remove_ud(q) != (pre, tuple(sorted(pos))):
-                        forward_errors += 1
-        rpt.check(f"insert/remove UD round trips n={n}", 0, forward_errors)
-        rpt.check(f"insert UD covers Dyck n={n}", set(dyck[n]), seen)
-        del seen  # freed here, not after the loop, which n_max = 0 skips
+        built = {
+            (pre, pos): bij.insert_ud(pre, pos)
+            for j in range(n)
+            for pre in dyck[n - j]
+            if profiles[pre][1] == 0
+            for pos in itertools.combinations_with_replacement(range(n - j), j)
+        }
+        errors = sum(bij.remove_ud(q) != x for x, q in built.items())
+        rpt.check(f"insert/remove UD round trips n={n}", 0, errors)
+        check_image(rpt, f"insert UD covers Dyck n={n}", built.values(), _dyck_class(n))
+        del built  # freed here, not after the loop, which n_max = 0 skips
 
     for a, b, level in [(6, 0, -1), (6, 0, -2), (7, 1, -1), (6, -2, -3), (8, 2, -1)]:
         # reflection principle: touching paths match the reflected endpoint class
@@ -431,10 +417,8 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
             "deep-valley": closed(n, "ell-valley:1"),
         }
         rpt.check(f"marked factor counts n={n}", expected_counts, counts)
-        high_ups = len(marked_set(paths, (U,), min_end_height=2))
-        rpt.check(
-            f"high up marks n={n}", n * C(n) - (C(n + 1) - C(n)), high_ups
-        )
+        high_ups = sum(count_factor(p, (U,), min_end_height=2) for p in paths)
+        rpt.check(f"high up marks n={n}", n * C(n) - (C(n + 1) - C(n)), high_ups)
         # the balanced paths that go below -1 are those the low-path map skips
         deep = walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]
         rpt.check(f"deep balanced paths n={n}", B(2 * n - 2, n - 3), deep)
@@ -455,27 +439,19 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
     return rpt
 
 
-def _check_map(rpt, label, domain, forward, inverse, expected) -> None:
-    """Check in one pass that ``forward`` maps ``domain`` one to one onto
-    the paths of ``expected`` and that ``inverse`` maps each image back.
-
-    ``label`` names the checks, with ``{}`` for the name of each. ``domain``
-    is read once, so it may be a generator. An image equal to an expected
-    path is kept as that path, and the expected set is copied only when the
-    images differ from it, so no path is held twice.
-    """
-    canonical = {p: p for p in expected}
-    images = set()
-    errors = count = 0
-    for x in domain:
-        q = forward(x)
-        images.add(canonical.get(q, q))
-        errors += inverse(q) != x
-        count += 1
-    rpt.check(label.format("images distinct"), count, len(images))
-    expected_set = images if images == canonical.keys() else set(canonical)
-    rpt.check(label.format("image set"), expected_set, images)
-    rpt.check(label.format("round trips"), 0, errors)
+def _check_valley(rpt, n: int, ell: int, dyck) -> None:
+    """Check that inserting the valley factor of ``ell`` after high up steps
+    hits each of its occurrences on the Dyck paths of size ``n`` once."""
+    pattern = bij.sym_valley_pattern(ell)
+    size = sum(count_factor(p, pattern) for p in dyck[n])
+    check_onto(
+        rpt,
+        f"valley insert {{}} n={n} ell={ell}",
+        ((mp, ell) for mp in marked_set(dyck[n - ell - 1], (U,), min_end_height=2)),
+        lambda x: bij.sym_valley_insert(*x),
+        bij.sym_valley_remove,
+        MarkedClass(2 * n, is_dyck, size, pattern),
+    )
 
 
 def _check_entry(rpt, entry: Bijection, n: int, dyck) -> tuple[int, int]:
@@ -490,21 +466,14 @@ def _check_entry(rpt, entry: Bijection, n: int, dyck) -> tuple[int, int]:
     count = check_onto(
         rpt, label + ": {}", domain, entry.forward, entry.inverse, image
     )
+    rpt.check(f"{label}: domain size", count, image.size)
     return count, image.size
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _positive_compositions(total: int, parts: int):
-    for comp in _weak_compositions(total - parts, parts):
-        yield tuple(c + 1 for c in comp)
+def _compositions(total: int, parts: int, least: int) -> list[tuple[int, ...]]:
+    """The ways to write ``total`` as ``parts`` ordered parts of ``least`` or more."""
+    cells = itertools.product(range(least, total + 1), repeat=parts)
+    return [c for c in cells if sum(c) == total]
 
 
 def _transport_sides(w: Word) -> dict[str, tuple[int, int]]:

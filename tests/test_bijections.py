@@ -17,6 +17,7 @@ from catalan_lab import (
     PeakVector,
     StatId,
     StatKind,
+    Word,
     area_mark_decode,
     area_mark_encode,
     brute_total,
@@ -40,21 +41,23 @@ from catalan_lab import (
     raney_shift,
     reflect_after_touch,
     remove_ud,
+    reverse_complement,
     split_reverse,
     split_reverse_inverse,
     sym_valley_insert,
     sym_valley_pattern,
     sym_valley_remove,
     units,
+    word_to_path,
 )
-from catalan_lab import formulas
-from catalan_lab.path_classes import ONTO, ImageRecord, PathClass
+from catalan_lab import bijections, formulas, verify
+from catalan_lab.path_classes import ONTO, ImageRecord, MarkedClass, PathClass
 from catalan_lab.verify import (
     BIJECTIONS,
     Bijection,
     VerifyReport,
     _check_entry,
-    _check_map,
+    _check_valley,
     marked_set,
     verify_bijections,
 )
@@ -356,8 +359,6 @@ class TestPeakMachinery:
             peak_decompose(P("UDUD"))
 
     def test_decompose_invariant_raises(self, monkeypatch):
-        from catalan_lab import bijections
-
         monkeypatch.setattr(bijections, "ddu_udu_counts", lambda p: (5, 0))
         with pytest.raises(RuntimeError):
             peak_decompose(P("UUDD"))
@@ -907,20 +908,216 @@ def test_area_check_memory():
     assert peak < 1_000_000
 
 
-def test_images_are_held_as_the_expected_paths():
-    expected = list(enumerate_dyck(5))
+def valley_inputs(m):
+    """The valley insertion's inputs on the Dyck paths of size ``m``: their
+    marked up steps that end at height two or more."""
+    return marked_set(list(enumerate_dyck(m)), (U,), min_end_height=2)
 
-    def copy(p):
-        return P(str(p))
 
-    assert all(copy(p) is not p for p in expected)
-    rpt = RecordingReport()
-    _check_map(rpt, "copy {}", (p for p in expected), copy, copy, expected)
-    distinct = [c[1:] for c in rpt.checks if c[0] == "copy images distinct"]
-    assert distinct == [(len(expected), len(expected))]
-    assert rpt.failures == []
-    ((_, _, got),) = [c for c in rpt.checks if c[0] == "copy image set"]
-    assert {id(q) for q in got} == {id(p) for p in expected}
+def verify_with_valley_inputs(monkeypatch, m, change):
+    """``verify_bijections(6)`` with ``change`` applied to the valley
+    insertion's inputs on the Dyck paths of size ``m``."""
+    real = verify.marked_set
+
+    def changed(paths, pattern, **filters):
+        marks = real(paths, pattern, **filters)
+        # the valley insertion passes a list of Dyck paths of one size; the
+        # split-reverse entries pass one path at a time, in a tuple
+        if type(paths) is list and marks and marks[0].path.length == 2 * m:
+            return change(marks)
+        return marks
+
+    monkeypatch.setattr(verify, "marked_set", changed)
+    return verify_bijections(6)
+
+
+def move_valley_marks(monkeypatch, moved):
+    """Make the valley insertion send each input of ``moved`` at ell = 1 to
+    its value, and its inverse send that value back."""
+    insert, remove = sym_valley_insert, sym_valley_remove
+    back = {q: mp for mp, q in moved.items()}
+    monkeypatch.setattr(
+        bijections,
+        "sym_valley_insert",
+        lambda mp, ell: moved[mp] if ell == 1 and mp in moved else insert(mp, ell),
+    )
+    monkeypatch.setattr(
+        bijections,
+        "sym_valley_remove",
+        lambda mp: (back[mp], 1) if mp in back else remove(mp),
+    )
+
+
+def shifted(mp):
+    """``mp`` with its mark moved one step to the right."""
+    return MarkedPath(mp.path, mp.mark_start + 1, mp.mark_len)
+
+
+def test_valley_mark_moved_by_one_fails_image_set(monkeypatch):
+    # the map and its inverse agree on a mark one step off its factor, so
+    # only the image set sees it: one stray, and the mark it should have been
+    inputs = valley_inputs(4)
+    hit = sym_valley_insert(inputs[0], 1)
+    stray = shifted(hit)
+    move_valley_marks(monkeypatch, {inputs[0]: stray})
+    report = verify_bijections(6)
+    record = ImageRecord(1, 1, (stray,), (hit,))
+    assert report.failures == [("valley insert image set n=6 ell=1", ONTO, record)]
+    assert type(record.first_strays[0]) is MarkedPath
+
+
+def test_valley_repeated_input_fails_images_distinct(monkeypatch):
+    # a second copy of one input in place of another, at n = 6, ell = 1
+    inputs = valley_inputs(4)
+    report = verify_with_valley_inputs(
+        monkeypatch, 4, lambda marks: [marks[0], marks[0], *marks[2:]]
+    )
+    missing = sym_valley_insert(inputs[1], 1)
+    assert report.failures == [
+        ("valley insert images distinct n=6 ell=1", len(inputs), len(inputs) - 1),
+        ("valley insert image set n=6 ell=1", ONTO, ImageRecord(0, 1, (), (missing,))),
+    ]
+
+
+def test_valley_missing_input_fails_image_set(monkeypatch):
+    # one input left out: the marks on size 3 feed n = 5, ell = 1 and
+    # n = 6, ell = 2, and the insertion has no domain size check
+    inputs = valley_inputs(3)
+    report = verify_with_valley_inputs(monkeypatch, 3, lambda marks: marks[1:])
+    assert report.failures == [
+        (
+            f"valley insert image set n={n} ell={ell}",
+            ONTO,
+            ImageRecord(0, 1, (), (sym_valley_insert(inputs[0], ell),)),
+        )
+        for n, ell in [(5, 1), (6, 2)]
+    ]
+
+
+def test_valley_records_show_the_first_few_marks_in_order(monkeypatch):
+    # every mark at n = 6, ell = 1 moved one step: the first three strays in
+    # the order met, and the first three class marks from the top rank down,
+    # which is U before D along the path and then the later mark first
+    inputs = valley_inputs(4)
+    strays = [shifted(sym_valley_insert(mp, 1)) for mp in inputs]
+    move_valley_marks(monkeypatch, dict(zip(inputs, strays)))
+    report = verify_bijections(6)
+    marks = marked_set(list(enumerate_dyck(6)), sym_valley_pattern(1))
+    top = sorted(marks, key=lambda mp: (str(mp.path), mp.mark_start), reverse=True)
+    assert len(marks) == len(inputs)
+    record = ImageRecord(len(inputs), len(marks), tuple(strays[:3]), tuple(top[:3]))
+    assert report.failures == [("valley insert image set n=6 ell=1", ONTO, record)]
+
+
+@pytest.mark.parametrize("n", [0, 4, 5])
+def test_marked_class_ranks_the_enumerated_marks(n):
+    # each mark of the valley factor has its own rank, which unranks to it,
+    # and unranking every rank from the top down gives the marks in order
+    pattern = sym_valley_pattern(1)
+    marks = marked_set(list(enumerate_dyck(n)), pattern)
+    image = MarkedClass(2 * n, is_dyck, len(marks), pattern)
+    assert image.ranks == 2 * n * 4**n
+    ranks = [image.rank(mp) for mp in marks]
+    assert len(set(ranks)) == len(marks)
+    assert all(0 <= r < image.ranks for r in ranks)
+    assert [image.unrank(r) for r in ranks] == marks
+    every = (image.unrank(r) for r in reversed(range(image.ranks)))
+    top = sorted(marks, key=lambda mp: (str(mp.path), mp.mark_start), reverse=True)
+    assert [q for q in every if q is not None] == top
+
+
+def test_marked_class_strays():
+    image = MarkedClass(8, is_dyck, 1, sym_valley_pattern(1))
+    assert image.rank(MarkedPath(P("UUDDUUDD"), 1, 5)) == 0b11001100 * 8 + 1
+    for stray in [
+        MarkedPath(P("UUDDUUDD"), 0, 5),  # another factor
+        MarkedPath(P("DUDDUUDU"), 1, 5),  # not a Dyck path
+        MarkedPath(P("UUDDUUDDUD"), 1, 5),  # too long
+    ]:
+        assert image.rank(stray) is None, stray
+
+
+def test_path_class_ranks_the_empty_path():
+    image = PathClass(0, is_dyck, 1)
+    assert image.ranks == 1
+    assert image.rank(P("")) == 0
+    assert image.unrank(0) == P("")
+
+
+def swapped(real, pairs):
+    """``real`` with each argument tuple in ``pairs`` sent to its value."""
+    return lambda *args: pairs[args] if args in pairs else real(*args)
+
+
+def test_reverse_complement_image_stray(monkeypatch):
+    # UUDD is its own reverse complement; sending it below the axis and back
+    # keeps the involution, so only the image check sees the stray
+    p, stray = P("UUDD"), P("UDDU")
+    changed = swapped(reverse_complement, {(p,): stray, (stray,): p})
+    monkeypatch.setattr(verify, "reverse_complement", changed)
+    report = verify_bijections(6)
+    record = ImageRecord(1, 1, (stray,), (p,))
+    assert report.failures == [("reverse-complement image n=2", ONTO, record)]
+
+
+def test_word_path_image_stray(monkeypatch):
+    # the path of 1 2 3 sent one size up: its word is still read, but
+    # neither round trip gets back
+    w, p, stray = Word((1, 2, 3)), P("UUUDDD"), P("UUUDDDUD")
+    monkeypatch.setattr(verify, "word_to_path", swapped(word_to_path, {(w,): stray}))
+    report = verify_bijections(6)
+    assert report.failures == [
+        ("word/path round trips n=3", 0, 2),
+        ("word/path image n=3", ONTO, ImageRecord(1, 1, (stray,), (p,))),
+    ]
+
+
+def test_insert_ud_image_stray(monkeypatch):
+    # UD inserted before the first up step of UUDD, sent one size up
+    pre, pos, p, stray = P("UUDD"), (0,), P("UDUUDD"), P("UDUUDDUD")
+    changed = swapped(insert_ud, {(pre, pos): stray})
+    monkeypatch.setattr(bijections, "insert_ud", changed)
+    report = verify_bijections(6)
+    assert report.failures == [
+        ("remove/insert UD round trips n=3", 0, 1),
+        ("insert/remove UD round trips n=3", 0, 1),
+        ("insert UD covers Dyck n=3", ONTO, ImageRecord(1, 1, (stray,), (p,))),
+    ]
+
+
+def test_slot_covering_image_stray(monkeypatch):
+    # UUUDDD, the one UDU-free path of size 3 with no DDU, rebuilt below the
+    # axis from its peak vector, which its one slot fill also gives
+    p, stray = P("UUUDDD"), P("DDDUUU")
+    pairs = {(peak_decompose(p),): stray}
+    monkeypatch.setattr(bijections, "peak_rebuild", swapped(peak_rebuild, pairs))
+    report = verify_bijections(6)
+    assert report.failures == [
+        ("peak vector round trips n=3", 0, 1),
+        ("slot covering image n=3 k=0", ONTO, ImageRecord(1, 1, (stray,), (p,))),
+        ("slot covering multiplicity n=3 k=0", {p: 1}, {stray: 1}),
+    ]
+
+
+def test_valley_check_memory():
+    # the marks on the 16-step Dyck paths rank into 16 * 2**16 bits, 128 KB,
+    # freed after each ell; a byte per rank would hold 1 MB. A first run
+    # fills the interpreter's free lists and the paths' kept text
+    n = 8
+    dyck = {m: list(enumerate_dyck(m)) for m in range(n + 1)}
+    for ell in range(1, n - 2):
+        _check_valley(VerifyReport("valley"), n, ell, dyck)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rpt = VerifyReport("valley")
+        for ell in range(1, n - 2):
+            _check_valley(rpt, n, ell, dyck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rpt.passed and rpt.cases_run == 15
+    assert peak < 500_000
 
 
 # Each split-reverse entry's image class: the paths of 2n - c steps that end

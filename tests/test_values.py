@@ -24,7 +24,7 @@ from catalan_lab import (
 )
 from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
-from catalan_lab.path_classes import ImageRecord, PathClass
+from catalan_lab.path_classes import ImageRecord, MarkedClass, PathClass
 from catalan_lab.paths import _Value
 from catalan_lab.verify import Bijection
 
@@ -96,6 +96,11 @@ FROZEN = [
         PathClass,
         {"length": 4, "member": _forward, "size": 2},
         f"PathClass(length=4, member={_forward!r}, size=2)",
+    ),
+    (
+        MarkedClass,
+        {"length": 4, "member": _forward, "size": 2, "factor": (U, D)},
+        f"MarkedClass(length=4, member={_forward!r}, size=2, factor=(1, -1))",
     ),
     (
         ImageRecord,
@@ -301,10 +306,16 @@ def test_no_instance_dict_after_every_read(cls, fields, text):
     assert not hasattr(obj, "__dict__")
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_frozen_class_is_listed():
     frozen = {
         cls
-        for cls in _Value.__subclasses__()
+        for cls in _subclasses(_Value)
         if cls.__module__.startswith("catalan_lab") and cls.__hash__ is not None
     }
     assert frozen == {cls for cls, _, _ in FROZEN}
