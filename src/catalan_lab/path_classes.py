@@ -114,8 +114,8 @@ ONTO = ImageRecord(0, 0)
 def _rank_images(images: Iterable, image: PathClass) -> tuple[ImageRecord, int, int]:
     """How ``images`` miss the class ``image``, their number and the number
     of distinct ones. ``images`` is read once and only its strays are kept;
-    the first missing members are unranked from the bitmap's zeros, from the
-    top rank down (U before D), only when some are missing."""
+    the first few missing members are unranked from the bitmap's zeros, from
+    the top rank down (U before D), only when some are missing."""
     seen = bytearray((image.ranks + 7) >> 3)
     strays: dict[Path | MarkedPath, None] = {}  # in the order they were met
     count = ranked = 0
@@ -128,7 +128,7 @@ def _rank_images(images: Iterable, image: PathClass) -> tuple[ImageRecord, int, 
             ranked += 1
     missing = image.size - ranked
     unmarked, r = [], image.ranks
-    while missing > 0 and len(unmarked) < _FEW and (r := r - 1) >= 0:
+    while len(unmarked) < min(missing, _FEW) and (r := r - 1) >= 0:
         if not seen[r >> 3] & 1 << (r & 7) and (q := image.unrank(r)) is not None:
             unmarked.append(q)
     first_strays = tuple(itertools.islice(strays, _FEW))
@@ -144,10 +144,10 @@ def check_image(rpt, description: str, images: Iterable, image: PathClass) -> No
 def check_onto(
     rpt, label: str, domain: Iterable, forward, inverse, image: PathClass
 ) -> int:
-    """Check in one pass that ``forward`` maps ``domain`` one to one onto the
-    class ``image`` and that ``inverse`` maps each image back; return the
-    number of inputs. ``rpt.check(description, expected, got)`` records the
-    three checks, named by ``label`` with ``{}`` for the name of each."""
+    """Check in one pass over ``domain``, which may be a generator, that
+    ``forward`` maps it one to one onto the class ``image`` and ``inverse``
+    maps each image back; return the number of inputs. ``rpt.check`` records
+    the three checks, named by ``label`` with ``{}`` for the name of each."""
     errors = 0
 
     def images():
