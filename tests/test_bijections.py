@@ -963,7 +963,6 @@ def test_valley_mark_moved_by_one_fails_image_set(monkeypatch):
     report = verify_bijections(6)
     record = ImageRecord(1, 1, (stray,), (hit,))
     assert report.failures == [("valley insert image set n=6 ell=1", ONTO, record)]
-    assert type(record.first_strays[0]) is MarkedPath
 
 
 def test_valley_repeated_input_fails_images_distinct(monkeypatch):
