@@ -14,7 +14,7 @@ Algorithms*; Knuth, *TAOCP* 4A, 7.2.1). The module reads nothing from
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .paths import MarkedPath, Path, _Value
 
@@ -61,6 +61,10 @@ class PathClass(_Value):
         q = Path.from_string(bits.translate(_TO_STEPS))
         return q if self.member(q) else None
 
+    def members(self, ranks: Iterable[int]) -> Iterator[Path]:
+        """The class members of ``ranks``, in their order."""
+        return (q for r in ranks if (q := self.unrank(r)) is not None)
+
 
 class MarkedClass(PathClass):
     """Each occurrence of ``factor`` marked on the paths of ``length`` steps
@@ -81,11 +85,17 @@ class MarkedClass(PathClass):
         return None
 
     def unrank(self, r: int) -> MarkedPath | None:
-        p = super().unrank(r // self.length)
-        start, m = r % self.length, len(self.factor)
-        if p is not None and p.steps[start : start + m] == self.factor:
-            return MarkedPath(p, start, m)
-        return None
+        return next(self.members((r,)), None)
+
+    def members(self, ranks: Iterable[int]) -> Iterator[MarkedPath]:
+        # a path's marks have consecutive ranks: build and test the path once
+        m = len(self.factor)
+        for path_rank, marks in itertools.groupby(ranks, lambda r: r // self.length):
+            if (p := super().unrank(path_rank)) is None:
+                continue
+            for start in (r % self.length for r in marks):
+                if p.steps[start : start + m] == self.factor:
+                    yield MarkedPath(p, start, m)
 
 
 class ImageRecord(_Value):
@@ -127,10 +137,8 @@ def _rank_images(images: Iterable, image: PathClass) -> tuple[ImageRecord, int, 
             seen[r >> 3] |= 1 << (r & 7)
             ranked += 1
     missing = image.size - ranked
-    unmarked, r = [], image.ranks
-    while len(unmarked) < min(missing, _FEW) and (r := r - 1) >= 0:
-        if not seen[r >> 3] & 1 << (r & 7) and (q := image.unrank(r)) is not None:
-            unmarked.append(q)
+    zeros = (r for r in reversed(range(image.ranks)) if not seen[r >> 3] & 1 << (r & 7))
+    unmarked = itertools.islice(image.members(zeros), min(max(missing, 0), _FEW))
     first_strays = tuple(itertools.islice(strays, _FEW))
     record = ImageRecord(len(strays), missing, first_strays, tuple(unmarked))
     return record, count, ranked + len(strays)

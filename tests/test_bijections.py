@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catalan_lab import (
@@ -706,6 +706,17 @@ class TestRandomRoundTrips:
         precursor, positions = remove_ud(p)
         assert insert_ud(precursor, positions) == p
 
+    # a word costs O(n^2), one sym-valley line per ell: about 0.2 s at n = 1000
+    @settings(max_examples=3, deadline=None)
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(n=1000, seed=0)
+    def test_transport(self, n, seed):
+        # every TRANSPORT line on a word far beyond the enumerated sizes
+        w = path_to_word(random_dyck_path(n, random.Random(seed)))
+        lines = list(verify._transport_sides(w))
+        assert [name for name, stat, count in lines if stat != count] == []
+        assert len(lines) == len(verify.TRANSPORT) - 1 + n
+
 
 def replaced(entry, **changes):
     """A copy of a ``BIJECTIONS`` entry with the given fields changed."""
@@ -1006,6 +1017,34 @@ def test_valley_records_show_the_first_few_marks_in_order(monkeypatch):
     assert len(marks) == len(inputs)
     record = ImageRecord(len(inputs), len(marks), tuple(strays[:3]), tuple(top[:3]))
     assert report.failures == [("valley insert image set n=6 ell=1", ONTO, record)]
+
+
+def test_missing_lowest_valley_mark_tests_each_path_once(monkeypatch):
+    # the input whose mark at n = 8, ell = 1 has the lowest rank left out: the
+    # scan down to it tests each 16-step path at most once, beside one test
+    # of each image, and records that mark as missing
+    n, ell = 8, 1
+    dyck = {m: list(enumerate_dyck(m)) for m in (n - ell - 1, n)}
+    marks = marked_set(dyck[n], sym_valley_pattern(ell))
+    lowest = min(marks, key=lambda mp: (str(mp.path), mp.mark_start))
+    dropped, _ = sym_valley_remove(lowest)
+    real = verify.marked_set
+    monkeypatch.setattr(
+        verify, "marked_set", lambda *args, **kw: [x for x in real(*args, **kw) if x != dropped]
+    )
+    calls = 0
+
+    def member(q):
+        nonlocal calls
+        calls += 1
+        return is_dyck(q)
+
+    monkeypatch.setattr(verify, "is_dyck", member)
+    rpt = VerifyReport("valley")
+    _check_valley(rpt, n, ell, dyck)
+    record = ImageRecord(0, 1, (), (lowest,))
+    assert rpt.failures == [(f"valley insert image set n={n} ell={ell}", ONTO, record)]
+    assert calls <= 2 ** (2 * n) + len(marks) - 1
 
 
 @pytest.mark.parametrize("n", [0, 4, 5])

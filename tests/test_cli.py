@@ -12,7 +12,7 @@ import pytest
 
 from catalan_lab import StatKind, closed_total, narayana, random_dyck_path
 from catalan_lab.cli import WRITE_CHARS, main
-from catalan_lab.limits import COUNT_MAX_N
+from catalan_lab.limits import COUNT_MAX_N, SUITE_CAPS
 from catalan_lab.oeis import (
     BUILTIN_BINDINGS,
     first_divergence,
@@ -606,6 +606,20 @@ def test_traced_run_finds_oeis_closed_total():
     from catalan_lab import formulas, oeis
 
     assert oeis.closed_total is formulas.closed_total
+
+
+@pytest.mark.parametrize("suite", SUITE_CAPS)
+def test_traced_run_finds_verify_suites(monkeypatch, suite):
+    # the traced run times each suite by replacing verify.verify_<suite>; the
+    # suite that run_suite calls is the one bound there when it runs
+    from catalan_lab import verify
+
+    ran = []
+    report = verify.VerifyReport(suite)
+    monkeypatch.setattr(verify, f"verify_{suite}", lambda n_max: ran.append(n_max) or report)
+    assert verify.run_suite(suite) == [report]
+    assert report in verify.run_suite("all", 0)
+    assert ran == [SUITE_CAPS[suite], 0]
 
 
 class CountingStdout(io.StringIO):

@@ -9,6 +9,7 @@ from catalan_lab.formulas import IDENTITIES, Identity, IdentityId
 from catalan_lab.verify import (
     FACTOR_COUNTS,
     SUITE_CAPS,
+    TRANSPORT,
     VerifyReport,
     negative_final_paths,
     run_suite,
@@ -155,6 +156,27 @@ def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
     bijections = verify_bijections(5)
     assert [desc for desc, _, _ in bijections.failures] == [
         f"marked factor counts n={n}" for n in range(1, 6)
+    ]
+
+
+# the TRANSPORT lines whose count is one FACTOR_COUNTS entry alone; the marked
+# factor counts read the closed forms of their statistics
+ONE_FACTOR_LINES = {"ell-valley 1", "sym-peak 1", "ell-peak 1", "descents as DDU"}
+
+
+@pytest.mark.parametrize("name", list(TRANSPORT))
+def test_broken_transport_line_fails_only_its_readers(monkeypatch, name):
+    stat, terms = TRANSPORT[name]
+    monkeypatch.setitem(TRANSPORT, name, (stat, (*terms, 1)))
+    transport = verify_transport(5)
+    # the sym-valley line is one line per ell from 1 to n
+    assert transport.failures == [
+        (f"transport n={n}", {}, {name.format(ell=ell): catalan(n) for ell in range(1, n + 1)})
+        for n in range(1, 6)
+    ]
+    bijections = verify_bijections(5)
+    assert [desc for desc, _, _ in bijections.failures] == [
+        f"marked factor counts n={n}" for n in range(1, 6) if name in ONE_FACTOR_LINES
     ]
 
 
