@@ -706,7 +706,7 @@ class TestRandomRoundTrips:
         precursor, positions = remove_ud(p)
         assert insert_ud(precursor, positions) == p
 
-    # a word costs O(n^2), one sym-valley line per ell: about 0.2 s at n = 1000
+    # a word costs O(n^2), an O(n) sym-valley line per ell, so few are drawn
     @settings(max_examples=3, deadline=None)
     @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
     @example(n=1000, seed=0)
