@@ -131,15 +131,13 @@ def sym_valley_insert(mp: MarkedPath, ell: int) -> MarkedPath:
     The input is a Dyck path with one marked up step not of height one; the
     output marks the created factor U D (D U)^ell U of length 2*ell + 3.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
+    inserted = sym_valley_pattern(ell)[1:]
     if mp.mark_len != 1 or mp.marked_factor != (U,):
         raise ValueError("the mark must cover a single up step")
     _require_dyck(mp.path)
     i = mp.mark_start
     if mp.path.height_profile[i] < 2:
         raise ValueError("marked up step must end at height two or more")
-    inserted = (D,) + (D, U) * ell + (U,)
     steps = mp.path.steps[: i + 1] + inserted + mp.path.steps[i + 1 :]
     return MarkedPath(_unchecked_path(steps), i, 2 * ell + 3)
 

@@ -280,10 +280,6 @@ class IdentityId(Enum):
 class IdentityResult(_Value):
     __match_args__ = __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: int, rhs: int):
-        self._set("lhs", lhs)
-        self._set("rhs", rhs)
-
     @property
     def holds(self) -> bool:
         return self.lhs == self.rhs
@@ -297,16 +293,7 @@ class Identity(_Value):
     """
 
     __match_args__ = __slots__ = ("floor", "sides", "ks")
-
-    def __init__(
-        self,
-        floor: int,
-        sides: Callable[..., tuple[int, int]],
-        ks: Callable[[int], range] | None = None,
-    ):
-        self._set("floor", floor)
-        self._set("sides", sides)
-        self._set("ks", ks)
+    _defaults = {"ks": None}
 
 
 def _running_sum(sums: list[int], term: Callable[..., int], reach: int, hi: int) -> int:

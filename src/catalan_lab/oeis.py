@@ -18,12 +18,7 @@ from .words import StatId, StatKind
 
 class OeisBinding(_Value):
     __match_args__ = __slots__ = ("id", "stat", "offset", "first_n")
-
-    def __init__(self, id: str | None, stat: StatId, offset: int = 1, first_n: int = 1):
-        self._set("id", id)
-        self._set("stat", stat)
-        self._set("offset", offset)
-        self._set("first_n", first_n)
+    _defaults = {"offset": 1, "first_n": 1}
 
     def terms(self, count: int) -> list[tuple[int, int]]:
         """The first ``count`` (index, value) pairs, stepped from term to term."""

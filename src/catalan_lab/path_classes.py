@@ -14,7 +14,7 @@ Algorithms*; Knuth, *TAOCP* 4A, 7.2.1). The module reads nothing from
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .paths import MarkedPath, Path, _Value
 
@@ -44,11 +44,6 @@ class PathClass(_Value):
     __match_args__ = __slots__ = ("length", "member", "size")
     ranks = property(lambda self: 1 << self.length)
 
-    def __init__(self, length: int, member: Callable[[Path], bool], size: int):
-        self._set("length", length)
-        self._set("member", member)
-        self._set("size", size)
-
     def rank(self, q: Path) -> int | None:
         """The rank of ``q``, or None when it is outside the class."""
         if len(q) == self.length and self.member(q):
@@ -73,10 +68,6 @@ class MarkedClass(PathClass):
     __match_args__ = (*PathClass.__match_args__, "factor")
     __slots__ = ("factor",)
     ranks = property(lambda self: self.length << self.length)
-
-    def __init__(self, length: int, member: Callable, size: int, factor: tuple):
-        super().__init__(length, member, size)
-        self._set("factor", factor)
 
     def rank(self, q: MarkedPath) -> int | None:
         r = super().rank(q.path)
@@ -104,18 +95,7 @@ class ImageRecord(_Value):
     the first few of each. A map onto its class has ``ONTO``."""
 
     __match_args__ = __slots__ = ("strays", "missing", "first_strays", "first_missing")
-
-    def __init__(
-        self,
-        strays: int,
-        missing: int,
-        first_strays: tuple[Path | MarkedPath, ...] = (),
-        first_missing: tuple[Path | MarkedPath, ...] = (),
-    ):
-        self._set("strays", strays)
-        self._set("missing", missing)
-        self._set("first_strays", first_strays)
-        self._set("first_missing", first_missing)
+    _defaults = {"first_strays": (), "first_missing": ()}
 
 
 ONTO = ImageRecord(0, 0)

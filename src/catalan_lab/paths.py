@@ -20,13 +20,15 @@ loop; ``Path(...)`` still makes it on every other input.
 The library's value classes derive from ``_Value``, not ``dataclass``, whose
 import and generated methods took about a third of the command line's import.
 The frozen ones keep their values in ``__slots__``, with no ``__dict__``, so a
-path takes the same memory whatever is read first.
+path takes the same memory whatever is read first. ``_Value`` compiles the
+``__init__`` of each class that only stores its fields; the classes that check
+or convert their arguments write their own.
 """
 
 import random
 import sys
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 from itertools import accumulate, product
 from operator import attrgetter, indexOf, neg
@@ -48,9 +50,13 @@ class _Value:
     """Base of the value classes: a frozen dataclass's methods, written once.
 
     A subclass lists its fields in ``__match_args__``, in ``__init__`` order,
-    and a frozen one also in ``__slots__``; its ``__init__`` checks them and
-    stores each with ``self._set(name, value)``, as assigning or deleting an
-    attribute raises AttributeError. Pickling and copying call the class again.
+    and a frozen one also in ``__slots__``. Unless it writes or inherits a
+    hand-written ``__init__`` or ``__new__``, it gets an ``__init__`` built
+    for its fields, with the trailing fields' defaults from its dict
+    ``_defaults``, which every call shares and so must be immutable. A
+    hand-written ``__init__`` checks or converts the fields (``VerifyReport``'s
+    makes a fresh failure list) and stores each with ``self._set(name,
+    value)``, as assigning or deleting an attribute raises AttributeError. Pickling and copying call the class again.
     ``class C(_Value, frozen=False)`` has mutable, unhashable instances.
     """
 
@@ -59,6 +65,9 @@ class _Value:
 
     def __init_subclass__(cls, frozen: bool = True):
         cls._fields = attrgetter(*cls.__match_args__)
+        built = getattr(cls, "_built_init", object.__init__)
+        if cls.__new__ is _new and cls.__init__ is built:
+            cls.__init__ = cls._built_init = _field_init(cls)
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -93,6 +102,19 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _field_init(cls: type) -> Callable[..., None]:
+    """The ``__init__`` of ``cls``, compiled once from source as ``dataclasses``
+    builds one, so its signature, errors and cost are a hand-written one's."""
+    fields, defaults = cls.__match_args__, getattr(cls, "_defaults", {})
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+    stores = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Path(_Value):

@@ -143,28 +143,7 @@ class Bijection(_Value):
         "label", "sizes", "forward", "inverse", "image",
         "marks", "shift", "domain", "draw_input",
     )
-
-    def __init__(
-        self,
-        label: str,
-        sizes: Callable[[int], range],
-        forward: Callable,
-        inverse: Callable,
-        image: Callable[[int, dict[int, list[Path]]], PathClass | None],
-        marks: Callable[[Path], list] | None = None,
-        shift: int = 0,
-        domain: Callable[[int], list] | None = None,
-        draw_input: Callable[[int, random.Random], object] | None = None,
-    ):
-        self._set("label", label)
-        self._set("sizes", sizes)
-        self._set("forward", forward)
-        self._set("inverse", inverse)
-        self._set("image", image)
-        self._set("marks", marks)
-        self._set("shift", shift)
-        self._set("domain", domain)
-        self._set("draw_input", draw_input)
+    _defaults = {"marks": None, "shift": 0, "domain": None, "draw_input": None}
 
     def inputs(self, n: int, dyck: dict[int, list[Path]]) -> list:
         return list(self._stream(n, dyck))
@@ -421,7 +400,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         expected_counts.update(uu=B(2 * n - 1, n - 2), udu=B(2 * n - 2, n - 2))
         rpt.check(f"marked factor counts n={n}", expected_counts, counts)
         # the valley insertion maps these marks onto the ell = 1 valleys of size n + 2
-        high_ups = sum(count_factor(p, (U,), min_end_height=2) for p in paths)
+        high_ups = sum(len(BIJECTIONS["high-up"].marks(p)) for p in paths)
         rpt.check(f"high up marks n={n}", closed(n + 2, "sym-valley:1"), high_ups)
         # the balanced paths that go below -1 are those the low-path map skips
         deep = walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]

@@ -312,22 +312,6 @@ class SweepTotals(_Value, frozen=False):
 
     __match_args__ = ("n", "words", "ascents", "descents", "area", "patterns")
 
-    def __init__(
-        self,
-        n: int,
-        words: int,
-        ascents: int,
-        descents: int,
-        area: int,
-        patterns: dict[StatKind, dict[int, int]],
-    ):
-        self.n = n
-        self.words = words
-        self.ascents = ascents
-        self.descents = descents
-        self.area = area
-        self.patterns = patterns
-
     @property
     def levels(self) -> int:
         return (self.n - 1) * self.words - self.ascents - self.descents

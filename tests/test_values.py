@@ -189,6 +189,54 @@ def test_checks_still_run():
         Word((1, 3))
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (
+            lambda: Bijection("m", _sizes, _forward, _forward),
+            "Bijection.__init__() missing 1 required positional argument: 'image'",
+        ),
+        (
+            lambda: Bijection("m", _sizes, _forward, _forward, _image, mark=None),
+            "Bijection.__init__() got an unexpected keyword argument 'mark'",
+        ),
+        (
+            lambda: Bijection("m", _sizes, _forward, _forward, _image, label="n"),
+            "Bijection.__init__() got multiple values for argument 'label'",
+        ),
+        (
+            lambda: IdentityResult(3),
+            "IdentityResult.__init__() missing 1 required positional argument: 'rhs'",
+        ),
+        (
+            lambda: IdentityResult(3, 4, diff=1),
+            "IdentityResult.__init__() got an unexpected keyword argument 'diff'",
+        ),
+        (
+            lambda: IdentityResult(3, 4, lhs=3),
+            "IdentityResult.__init__() got multiple values for argument 'lhs'",
+        ),
+    ],
+    ids=[
+        "Bijection-missing", "Bijection-unknown", "Bijection-twice",
+        "IdentityResult-missing", "IdentityResult-unknown", "IdentityResult-twice",
+    ],
+)
+def test_built_init_raises_the_signature_errors(call, message):
+    with pytest.raises(TypeError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_inherited_hand_written_init_is_kept():
+    class Reachable(Endpoint):
+        __slots__ = ()
+
+    with pytest.raises(ValueError, match="need a >= \\|b\\| >= 0"):
+        Reachable(1, 3)
+    assert Reachable(4, 2) == Reachable(b=2, a=4) != Endpoint(4, 2)
+
+
 def _totals(area):
     return SweepTotals(2, 2, 1, 0, area, {StatKind.SYM_PEAK: {1: area}})
 
