@@ -55,8 +55,9 @@ class _Value:
     for its fields, with the trailing fields' defaults from its dict
     ``_defaults``, which every call shares and so must be immutable. A
     hand-written ``__init__`` checks or converts the fields (``VerifyReport``'s
-    makes a fresh failure list) and stores each with ``self._set(name,
-    value)``, as assigning or deleting an attribute raises AttributeError. Pickling and copying call the class again.
+    makes a fresh failure list) and stores each with
+    ``self._set(name, value)``, as assigning or deleting an attribute raises
+    AttributeError. Pickling and copying call the class again.
     ``class C(_Value, frozen=False)`` has mutable, unhashable instances.
     """
 
