@@ -6,8 +6,18 @@ limit error. Output is deterministic; the sampler requires an explicit
 seed and is then deterministic too. The table commands share one row
 writer. ``main`` lifts the int/str conversion digit limit, which b-file
 terms outgrow, for the CLI process only; importing the library does not.
-What only one command or format uses (the suites, b-files, json, csv) is
-imported when it runs, so that a process loads only what its command needs.
+
+Start-up counts in every command's time, and the benchmark measures it
+with each module compiled from source in every process (no bytecode cache).
+So this module imports only the standard library and ``limits``, and each
+command binds the library names it reads when it runs (``_bind``):
+``sample`` and ``enumerate --kind paths`` load only ``paths``, ``enumerate
+--kind words`` loads no ``formulas``, and ``--help`` or an argument the
+parser rejects loads no library module. The suites, b-files, json and csv
+are imported by the one command or format that uses them. Each library
+export is readable as an attribute of this module, and a value set here
+first, such as a test's stand-in or a tracer's wrapper, is the one the
+commands call.
 """
 
 import argparse
@@ -16,31 +26,16 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterable
+from importlib import import_module
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .formulas import closed_total, narayana
+from . import _SOURCE
 from .limits import SUITE_CAPS, EnumerationLimitError
-# enumerate_dyck and random_dyck_path stay importable from here, though no
-# command reads them: benchmark/tracing.py wraps both by their cli names
-from .paths import enumerate_dyck, random_dyck_path  # noqa: F401
-from .paths import enumerate_dyck_texts, random_dyck_text
-from .words import (
-    ADJACENCY_INCREMENTS,
-    StatId,
-    StatKind,
-    SweepTotals,
-    count_histogram,
-    enumerate_catalan,
-    stat_value,
-    sweep_totals,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-DEFAULT_STATS = [StatId(kind) for kind in StatKind]
 
 _PARALLEL_DEPTH = 4
 
@@ -49,21 +44,42 @@ _PARALLEL_DEPTH = 4
 WRITE_CHARS = 1 << 16
 
 
-def _parse_stats(text: str) -> list[StatId]:
+def _bind(*names: str) -> None:
+    """Bind each named library export in this module, unless it is bound here
+    already, so that a value set on the module first is the one called."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            module = import_module(f".{_SOURCE[name]}", __package__)
+            scope[name] = getattr(module, name)
+
+
+# Every library export reads as an attribute of this module, even one that no
+# command reads: benchmark/tracing.py replaces such names by name.
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
+
+def _parse_stats(text: str) -> "list[StatId]":
+    _bind("StatId", "StatKind")
     if text.strip() == "all":
-        return list(DEFAULT_STATS)
+        return [StatId(kind) for kind in StatKind]
     stats = [StatId.parse(part) for part in text.split(",") if part.strip()]
     if not stats:
         raise ValueError("no statistics selected")
     return stats
 
 
-def _sweep_shard(task: tuple[int, tuple[int, ...], int | None]) -> SweepTotals:
+def _sweep_shard(task: tuple[int, tuple[int, ...], int | None]) -> "SweepTotals":
+    _bind("sweep_totals")  # a worker process may not have run the command
     n, prefix, max_n = task
     return sweep_totals(n, prefix=prefix, max_n=max_n)
 
 
-def _totals_for(n: int, max_n: int | None, parallel: int) -> SweepTotals:
+def _totals_for(n: int, max_n: int | None, parallel: int) -> "SweepTotals":
     if parallel <= 1 or n <= _PARALLEL_DEPTH + 1:
         return sweep_totals(n, max_n=max_n)
     from concurrent.futures import ProcessPoolExecutor
@@ -130,9 +146,11 @@ def cmd_enumerate(args) -> int:
     if stats and args.format == "plain":
         raise ValueError("per-item statistics need --format csv or json")
     if args.kind == "words":
+        _bind("enumerate_catalan", "stat_value")
         items = enumerate_catalan(args.n, max_n=args.max_n)
         texts = map(str, items)
     else:  # the paths' text, with no Path built
+        _bind("enumerate_dyck_texts")
         texts = enumerate_dyck_texts(args.n, max_n=args.max_n)
     if args.format == "plain":  # one line per item: its text
         _write_rows("plain", [], texts, None)
@@ -160,6 +178,7 @@ def cmd_totals(args) -> int:
     if args.parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {args.parallel}")
     stats = _parse_stats(args.stats)
+    _bind("closed_total", "enumerate_catalan", "sweep_totals")
     rows = []
     for n in range(1, args.n_max + 1):
         totals = _totals_for(n, args.max_n, args.parallel)
@@ -198,6 +217,7 @@ def cmd_verify(args) -> int:
 def cmd_oeis(args) -> int:
     from . import oeis as oeis_files
 
+    _bind("StatId")
     offset = 1 if args.offset is None else args.offset
     first_n = 1 if args.first_n is None else args.first_n
     if args.id:
@@ -217,10 +237,11 @@ def cmd_oeis(args) -> int:
         binding = oeis_files.OeisBinding(None, StatId.parse(args.stat), offset, first_n)
     else:
         raise ValueError("provide an OEIS id or --stat")
-    terms = binding.terms(args.terms)
-    if args.check:
+    if args.check:  # a missing or malformed b-file fails before any term
         with open(args.check, encoding="utf-8") as fh:
             reference = oeis_files.parse_bfile(fh.read())
+    terms = binding.terms(args.terms)
+    if args.check:
         divergence = oeis_files.first_divergence(terms, reference)
         shared = sum(1 for i, _ in terms if i in reference)
         if divergence is None:
@@ -236,6 +257,9 @@ def cmd_oeis(args) -> int:
 
 
 def cmd_distribution(args) -> int:
+    from .words import ADJACENCY_INCREMENTS
+
+    _bind("StatId", "StatKind", "count_histogram", "enumerate_catalan", "stat_value")
     stat = StatId.parse(args.stat)
     if stat.kind in ADJACENCY_INCREMENTS:
         hist = count_histogram(args.n, stat.kind)
@@ -246,6 +270,8 @@ def cmd_distribution(args) -> int:
             hist[value] = hist.get(value, 0) + 1
     narayana_kinds = (StatKind.RUNS_ASC, StatKind.RUNS_WEAK_DESC)
     with_narayana = stat.kind in narayana_kinds
+    if with_narayana:
+        _bind("narayana")
     rows = []
     for value in sorted(hist):
         row = {"value": value, "count": hist[value]}
@@ -272,6 +298,7 @@ def cmd_distribution(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"sample count must be positive, got {args.count}")
+    _bind("random_dyck_text")
     rng = random.Random(args.seed)
     rows = (
         {"index": i, "value": random_dyck_text(args.n, rng)}
@@ -362,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone: end quietly, and let the exit-time flush go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -392,6 +392,26 @@ class TestOeis:
         code, _, err = run_cli(capsys, "oeis", "--terms", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [None, "1 1\n2 five\n"], ids=["missing", "malformed"])
+    def test_check_reads_the_bfile_before_any_term(
+        self, capsys, monkeypatch, tmp_path, text
+    ):
+        from catalan_lab.oeis import OeisBinding
+
+        def unreachable(binding, count):
+            raise AssertionError("a term was computed before the b-file was read")
+
+        monkeypatch.setattr(OeisBinding, "terms", unreachable)
+        bfile = tmp_path / "b.txt"
+        if text is not None:
+            bfile.write_text(text)
+        code, out, err = run_cli(
+            capsys, "oeis", "--stat", "corner-hu", "--terms", "99999999999999999999",
+            "--check", str(bfile),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBfileHelpers:
     def test_format_and_parse(self):
@@ -602,6 +622,48 @@ def test_traced_run_finds_cli_names(name):
     assert getattr(cli, name) is getattr(source, name)
 
 
+def test_cli_has_no_unknown_name():
+    from catalan_lab import cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
+
+
+# Each name the traced run replaces on the CLI, with a command that reads it:
+# the command must call the value set on the module, or the traced layer
+# metrics fed by that name read zero.
+TOTALS_ARGV = ("totals", "--n-max", "3", "--stats", "area")
+WORDS_ARGV = ("enumerate", "--kind", "words", "--n", "3", "--stats", "area",
+              "--format", "csv")
+ENUMERATED_ARGV = ("distribution", "--stat", "area", "--n", "4")
+COMMAND_READS = [
+    ("sweep_totals", TOTALS_ARGV),
+    ("closed_total", TOTALS_ARGV),
+    ("enumerate_catalan", ENUMERATED_ARGV),
+    ("stat_value", ENUMERATED_ARGV),
+    ("narayana", ("distribution", "--stat", "runs-asc", "--n", "4")),
+    ("enumerate_catalan", WORDS_ARGV),
+    ("stat_value", WORDS_ARGV),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "argv"), COMMAND_READS, ids=[f"{n} in {a[0]}" for n, a in COMMAND_READS]
+)
+def test_commands_call_the_names_set_on_the_cli(capsys, monkeypatch, name, argv):
+    import catalan_lab.cli as cli_mod
+
+    real, calls = getattr(cli_mod, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, name, recording)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls
+
+
 def test_traced_run_finds_oeis_closed_total():
     from catalan_lab import formulas, oeis
 
@@ -756,6 +818,14 @@ class TestSample:
         )
         assert (code, out) == (2, "")
         assert f"sample count must be positive, got {count}" in err
+
+    def test_size_past_an_index_is_usage_error(self, capsys):
+        # the size overflows an index before the arrangement is allocated
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "99999999999999999999", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_draws_are_valid(self, capsys):
         from catalan_lab import Path, is_dyck

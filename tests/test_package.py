@@ -94,8 +94,22 @@ loaded = sorted(
 )
 sys.stderr.write(json.dumps([code, loaded]))
 """
-CORE = ["catalan_lab", "catalan_lab.cli", "catalan_lab.formulas",
-        "catalan_lab.limits", "catalan_lab.paths", "catalan_lab.words"]
+# The catalan_lab modules each command loads, exactly: a command imports the
+# library modules it reads when it runs, and no other.
+CLI = ["catalan_lab", "catalan_lab.cli", "catalan_lab.limits"]
+PATHS = sorted(CLI + ["catalan_lab.paths"])
+WORDS = sorted(PATHS + ["catalan_lab.words"])
+FORMULAS = sorted(WORDS + ["catalan_lab.formulas"])
+LOADS = {
+    ("totals", "--n-max", "1"): FORMULAS,
+    ("totals", "--n-max", "3", "--format", "json"): FORMULAS,
+    ("distribution", "--stat", "area", "--n", "4", "--format", "csv"): WORDS,
+    ("distribution", "--stat", "runs-asc", "--n", "5"): FORMULAS,
+    ("sample", "--n", "5", "--count", "2", "--seed", "1"): PATHS,
+    ("enumerate", "--kind", "paths", "--n", "3"): PATHS,
+    ("enumerate", "--kind", "words", "--n", "3", "--stats", "all", "--format", "csv"):
+        WORDS,
+}
 
 
 def loaded_by(*argv):
@@ -106,23 +120,39 @@ def loaded_by(*argv):
     return json.loads(proc.stderr)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("totals", "--n-max", "1"),
-        ("totals", "--n-max", "3", "--format", "json"),
-        ("distribution", "--stat", "area", "--n", "4", "--format", "csv"),
-        ("distribution", "--stat", "runs-asc", "--n", "5"),
-        ("sample", "--n", "5", "--count", "2", "--seed", "1"),
-        ("enumerate", "--kind", "paths", "--n", "3"),
-        ("enumerate", "--kind", "words", "--n", "3", "--stats", "all", "--format", "csv"),
-    ],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("argv", LOADS, ids=" ".join)
 def test_command_loads_only_the_core(argv):
     code, loaded = loaded_by(*argv)
     assert code == 0
-    assert loaded == CORE
+    assert loaded == LOADS[argv]
+
+
+# Imports the command line and builds its parser, as the benchmark's set-up
+# does, then parses ARGV if there is any; reports the catalan_lab modules loaded.
+LOADED_BY_PARSER = """
+import json, sys
+import catalan_lab.cli as cli
+parser = cli.build_parser()
+if sys.argv[1:]:
+    try:
+        parser.parse_args(sys.argv[1:])
+    except SystemExit:
+        pass
+sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("catalan_lab"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("--help",), ("sample", "--n", "x", "--seed", "1")],
+    ids=lambda argv: " ".join(argv) or "build_parser",
+)
+def test_parser_loads_no_library_module(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_PARSER, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert json.loads(proc.stderr.rpartition("\n")[2]) == CLI
 
 
 def test_verify_loads_the_suites_when_it_runs():
