@@ -7,17 +7,14 @@ seed and is then deterministic too. The table commands share one row
 writer. ``main`` lifts the int/str conversion digit limit, which b-file
 terms outgrow, for the CLI process only; importing the library does not.
 
-Start-up counts in every command's time, and the benchmark measures it
-with each module compiled from source in every process (no bytecode cache).
-So this module imports only the standard library and ``limits``, and each
-command binds the library names it reads when it runs (``_bind``):
-``sample`` and ``enumerate --kind paths`` load only ``paths``, ``enumerate
---kind words`` loads no ``formulas``, and ``--help`` or an argument the
-parser rejects loads no library module. The suites, b-files, json and csv
-are imported by the one command or format that uses them. Each library
-export is readable as an attribute of this module, and a value set here
-first, such as a test's stand-in or a tracer's wrapper, is the one the
-commands call.
+Start-up counts in every command's time, and it is measured with each
+module compiled from source in every process. So this module loads only the
+standard library and ``limits``, and each command binds the library names
+it reads when it runs (``_bind``): ``sample`` and ``enumerate --kind paths``
+load only ``paths``, ``enumerate --kind words`` loads no ``formulas``, and
+``--help`` loads no library module. The suites, b-files, json and csv load
+with the one command or format that uses them. A value set on this module
+first, such as a test's stand-in or a tracer's wrapper, is what runs.
 """
 
 import argparse
