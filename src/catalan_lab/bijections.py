@@ -11,6 +11,7 @@ caller's pattern in ``split_reverse_inverse`` still gets it.
 
 from collections.abc import Sequence
 from itertools import accumulate
+from operator import neg
 
 from .paths import (
     D,
@@ -395,28 +396,30 @@ def area_mark_decode(image: Path) -> AreaMark:
     >= m - j >= 1: they end before the first vertex at -j - 1, and j < m. The
     tail, from m - j - 1, stays >= 0 and ends at m - j - 1 + low - final = 0.
     """
-    if image.length == 0 or image.length % 2:
+    steps = image.steps
+    if not steps or len(steps) % 2:
         raise ValueError("image paths have positive even length")
-    heights = tuple(accumulate(image.steps, initial=0))
+    heights = tuple(accumulate(steps, initial=0))
     final = heights[-1]
     if final >= 0 or final % 2:
         raise ValueError(f"image paths end at negative even height, got {final}")
-    n = image.length // 2
+    n = len(steps) // 2
     j = (-final - 2) // 2
     low = min(heights)
     m = -low - j - 1
     if not 0 <= j < m <= n:
         raise ValueError("endpoint and minimum heights are inconsistent")
     a = heights.index(-j - 1)
-    b = heights.index(low)
-    if image.steps[a - 1] != D or image.steps[b - 1] != D:
+    b = heights.index(low, a)  # the minimum lies below -j - 1
+    if steps[a - 1] != D or steps[b - 1] != D:
         raise ValueError("split points are not down steps")
-    head = _rc(image.steps[a : b - 1])
-    chained = image.steps[: a - 1]
-    tail = _rc(image.steps[b:])
-    if sum(head) + 1 != m:  # the height of the marked up step
+    if heights[a] - heights[b - 1] + 1 != m:  # the height of the marked up step
         raise ValueError("reconstructed mark height mismatch")
-    reconstructed = _unchecked_path(head + (U,) + chained + (D,) + tail)
+    # each section reverse-complemented from one reversed slice, which stops
+    # at a - 1 or b - 1, both >= 0 as heights[0] = 0 > -j - 1 > low
+    head = tuple(map(neg, steps[b - 2 : a - 1 : -1]))
+    tail = tuple(map(neg, steps[: b - 1 : -1]))
+    reconstructed = _unchecked_path(head + (U,) + steps[: a - 1] + (D,) + tail)
     return _area_mark(reconstructed, len(head), j)
 
 

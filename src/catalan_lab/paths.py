@@ -11,11 +11,11 @@ the random source handed to it. It shuffles an arrangement of ``"U"`` and
 ``"D"`` characters and cuts each draw's text from their join once:
 ``random_dyck_text`` returns that text and builds no ``Path``, and
 ``random_dyck_path`` keeps it in the path it builds. The enumerators, the
-sampler, ``reverse_complement``, the maps in ``bijections`` and
-``verify.negative_final_paths`` build their paths from the ``U`` and ``D``
-constants or from the steps of checked paths, and skip the step check
-through ``_unchecked_path``, which the path enumerator writes out in its
-loop; ``Path(...)`` still makes it on every other input.
+sampler, ``reverse_complement``, the maps in ``bijections``,
+``words.word_to_path`` and ``verify.negative_final_paths`` build their paths
+from the ``U`` and ``D`` constants or from the steps of checked paths, and
+skip the step check through ``_unchecked_path``, which the path enumerator
+writes out in its loop; ``Path(...)`` still makes it on every other input.
 
 The library's value classes derive from ``_Value``, not ``dataclass``, whose
 import and generated methods took about a third of the command line's import.

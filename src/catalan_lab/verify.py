@@ -162,7 +162,20 @@ class Bijection(_Value):
         return rng.choice(choices) if choices else None
 
 
-def _split_reverse(name, survivor, end, lowest, shift=0, **filters):
+class _FactorMarks(_Value):
+    """The occurrences of ``pattern`` on one path whose final step ends at
+    ``min_end_height`` or above: marked when called, counted by ``count``."""
+
+    __match_args__ = __slots__ = ("pattern", "min_end_height")
+
+    def __call__(self, p: Path) -> list[MarkedPath]:
+        return marked_set((p,), self.pattern, min_end_height=self.min_end_height)
+
+    def count(self, p: Path) -> int:
+        return count_factor(p, self.pattern, min_end_height=self.min_end_height)
+
+
+def _split_reverse(name, survivor, end, lowest, shift=0, min_end_height=None):
     """Marks of the factor ``name`` against the image paths that reach ``lowest``.
 
     The image paths have 2n - c steps and end at height b, for (c, b) = end;
@@ -183,7 +196,7 @@ def _split_reverse(name, survivor, end, lowest, shift=0, **filters):
         forward=lambda mp: bij.split_reverse(mp, survivor),
         inverse=lambda q: bij.split_reverse_inverse(q, pattern, survivor),
         image=image,
-        marks=lambda p: marked_set((p,), pattern, **filters),
+        marks=_FactorMarks(pattern, min_end_height),
         shift=shift,
     )
 
@@ -400,7 +413,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         expected_counts.update(uu=B(2 * n - 1, n - 2), udu=B(2 * n - 2, n - 2))
         rpt.check(f"marked factor counts n={n}", expected_counts, counts)
         # the valley insertion maps these marks onto the ell = 1 valleys of size n + 2
-        high_ups = sum(len(BIJECTIONS["high-up"].marks(p)) for p in paths)
+        high_ups = sum(map(BIJECTIONS["high-up"].marks.count, paths))
         rpt.check(f"high up marks n={n}", closed(n + 2, "sym-valley:1"), high_ups)
         # the balanced paths that go below -1 are those the low-path map skips
         deep = walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]

@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import ge, gt, le, lt, mul
 
 from .limits import COUNT_MAX_N, check_ceiling
-from .paths import D, U, Path, _Value, _require_dyck
+from .paths import D, U, Path, _require_dyck, _unchecked_path, _Value
 
 
 class Word(_Value):
@@ -186,7 +186,7 @@ def word_to_path(w: Word) -> Path:
         steps.append(U)
         prev = letter
     steps.extend([D] * prev)
-    return Path(tuple(steps))
+    return _unchecked_path(tuple(steps))
 
 
 def path_to_word(p: Path) -> Word:

@@ -1082,6 +1082,26 @@ def test_path_class_ranks_the_empty_path():
     assert image.unrank(0) == P("")
 
 
+@pytest.mark.parametrize("length", range(11))
+def test_rank_is_the_same_whether_the_text_is_kept(length):
+    # a path whose text is kept ranks by that text, a fresh one by its steps,
+    # building none; both give one rank, or None for a stray, on every path
+    # of the length, the empty path included
+    every = PathClass(length, lambda q: True, 1 << length)
+    classes = [PathClass(length, is_dyck, 0), PathClass(length + 1, is_dyck, 0)]
+    peaks = MarkedClass(length, is_dyck, 0, (U, D))
+    for steps in itertools.product((U, D), repeat=length):
+        kept, fresh = Path(steps), Path(steps)
+        bits = str(kept).replace("U", "1").replace("D", "0")
+        assert every.rank(fresh) == every.rank(kept) == int(bits or "0", 2)
+        for image in classes:
+            assert image.rank(fresh) == image.rank(kept)
+        for start in range(length - 1):
+            mark = MarkedPath(fresh, start, 2)
+            assert peaks.rank(mark) == peaks.rank(MarkedPath(kept, start, 2))
+        assert fresh._text is None
+
+
 def swapped(real, pairs):
     """``real`` with each argument tuple in ``pairs`` sent to its value."""
     return lambda *args: pairs[args] if args in pairs else real(*args)

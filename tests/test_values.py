@@ -26,7 +26,7 @@ from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
 from catalan_lab.path_classes import ImageRecord, MarkedClass, PathClass
 from catalan_lab.paths import _Value
-from catalan_lab.verify import Bijection
+from catalan_lab.verify import Bijection, _FactorMarks
 
 
 def _sizes(n_max):
@@ -91,6 +91,11 @@ FROZEN = [
         f"Bijection(label='map n={{n}}', sizes={_sizes!r}, forward={_forward!r}, "
         f"inverse={_forward!r}, image={_image!r}, marks=None, shift=1, "
         f"domain={_sizes!r}, draw_input=None)",
+    ),
+    (
+        _FactorMarks,
+        {"pattern": (U,), "min_end_height": 2},
+        "_FactorMarks(pattern=(1,), min_end_height=2)",
     ),
     (
         PathClass,

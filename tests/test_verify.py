@@ -7,6 +7,7 @@ import pytest
 from catalan_lab import D, U, bijections, catalan, paths
 from catalan_lab.formulas import IDENTITIES, Identity, IdentityId
 from catalan_lab.verify import (
+    BIJECTIONS,
     FACTOR_COUNTS,
     SUITE_CAPS,
     TRANSPORT,
@@ -190,6 +191,24 @@ def test_broken_raney_shift_fails_each_scanned_length(monkeypatch):
     assert [desc for desc in descriptions if "scanned" in desc] == [
         f"raney uniqueness scanned length {length}" for length in range(2, 6)
     ]
+
+
+def test_high_up_marks_count_the_entry_marks(monkeypatch):
+    # the suite counts the high-up entry's marks without building them: the
+    # count it checks at each n is the number of marks the entry makes there
+    got = {}
+    check = VerifyReport.check
+
+    def record(self, description, expected, value):
+        got[description] = value
+        check(self, description, expected, value)
+
+    monkeypatch.setattr(VerifyReport, "check", record)
+    assert verify_bijections(8).passed
+    marks = BIJECTIONS["high-up"].marks
+    for n in range(1, 9):
+        expected = sum(len(marks(p)) for p in paths.enumerate_dyck(n))
+        assert got[f"high up marks n={n}"] == expected, n
 
 
 def test_deep_valley_count_is_the_papers_sum():
