@@ -6,11 +6,11 @@ accepts, with its size counted apart from the map it checks: by
 filter over enumerated paths. A ``MarkedClass`` marks each occurrence of a
 factor on such paths. ``check_onto`` and ``check_image`` rank each image
 without holding it, into a bitmap of one bit per rank: a path ranks as its
-U/D text read in binary, U = 1 and D = 0, read from its steps when it has no
-text yet, and a mark on a path of L steps as its path's rank times L plus its
-start (Nijenhuis and Wilf, *Combinatorial Algorithms*; Knuth, *TAOCP* 4A,
-7.2.1). The module reads nothing from ``formulas``, as the bijection suite
-compares these sizes with closed forms.
+U/D text read in binary, U = 1 and D = 0, read from its steps, and a mark on
+a path of L steps as its path's rank times L plus its start (Nijenhuis and
+Wilf, *Combinatorial Algorithms*; Knuth, *TAOCP* 4A, 7.2.1). The module reads
+nothing from ``formulas``, as the bijection suite compares these sizes with
+closed forms.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator
 from .paths import MarkedPath, Path, _Value
 
 _FEW = 3  # stray and missing paths an image record shows
-_TO_BITS = str.maketrans("UD", "10")
 _TO_STEPS = str.maketrans("10", "UD")
 _STEPS_TO_BITS = bytes.maketrans(b"\x01\xff", b"10")  # U and D as array("b") items
 
@@ -50,9 +49,7 @@ class PathClass(_Value):
     def rank(self, q: Path) -> int | None:
         """The rank of ``q``, or None when it is outside the class."""
         if len(q) == self.length and self.member(q):
-            if (text := q._text) is not None:
-                return int(text.translate(_TO_BITS) or "0", 2)
-            # a fresh image: its steps' bytes, so no text is built and kept
+            # its steps' bytes, so no text is built and kept
             bits = array("b", q.steps).tobytes().translate(_STEPS_TO_BITS)
             return int(bits or b"0", 2)
         return None

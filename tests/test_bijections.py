@@ -1084,9 +1084,9 @@ def test_path_class_ranks_the_empty_path():
 
 @pytest.mark.parametrize("length", range(11))
 def test_rank_is_the_same_whether_the_text_is_kept(length):
-    # a path whose text is kept ranks by that text, a fresh one by its steps,
-    # building none; both give one rank, or None for a stray, on every path
-    # of the length, the empty path included
+    # a path ranks from its steps and builds no text; with its text kept or
+    # not it gives one rank, or None for a stray, on every path of the
+    # length, the empty path included
     every = PathClass(length, lambda q: True, 1 << length)
     classes = [PathClass(length, is_dyck, 0), PathClass(length + 1, is_dyck, 0)]
     peaks = MarkedClass(length, is_dyck, 0, (U, D))

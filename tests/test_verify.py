@@ -74,31 +74,39 @@ def test_broken_increment_fails_only_its_histogram_count(monkeypatch, kind):
 
 
 def _pinned_descriptions(monkeypatch, suite_fn, n_max, data_file):
-    # every check suite_fn(n_max) makes, by description, and the pinned file's
+    # every check suite_fn(n_max) makes, by description, the pinned file's, and
+    # the value each check got
     seen = []
     check = VerifyReport.check
 
     def record(self, description, expected, got):
-        seen.append(description)
+        seen.append((description, got))
         check(self, description, expected, got)
 
     monkeypatch.setattr(VerifyReport, "check", record)
     report = suite_fn(n_max)
     assert report.passed, report.to_text()
     pinned = Path(__file__).parent / "data" / data_file
-    return report, sorted(seen), json.loads(pinned.read_text())
+    descriptions = sorted(description for description, _ in seen)
+    return report, descriptions, json.loads(pinned.read_text()), dict(seen)
 
 
 def test_bijection_check_descriptions_are_pinned(monkeypatch):
-    report, seen, pinned = _pinned_descriptions(
+    report, seen, pinned, got = _pinned_descriptions(
         monkeypatch, verify_bijections, 8, "bijection_checks.json"
     )
     assert report.cases_run == 481
     assert seen == pinned
+    # the suite counts the high-up entry's marks without building them: the
+    # count it checks at each n is the number of marks the entry makes there
+    marks = BIJECTIONS["high-up"].marks
+    for n in range(1, 9):
+        expected = sum(len(marks(p)) for p in paths.enumerate_dyck(n))
+        assert got[f"high up marks n={n}"] == expected, n
 
 
 def test_transport_check_descriptions_are_pinned(monkeypatch):
-    report, seen, pinned = _pinned_descriptions(
+    report, seen, pinned, _ = _pinned_descriptions(
         monkeypatch, verify_transport, 9, "transport_checks.json"
     )
     assert report.cases_run == 49
@@ -108,7 +116,7 @@ def test_transport_check_descriptions_are_pinned(monkeypatch):
 def test_identity_check_descriptions_are_pinned(monkeypatch):
     # pins each identity's floor and k range: a floor moved down to an n where
     # the identity still holds adds a description
-    report, seen, pinned = _pinned_descriptions(
+    report, seen, pinned, _ = _pinned_descriptions(
         monkeypatch, verify_identities, 10, "identity_checks.json"
     )
     assert report.cases_run == 122
@@ -191,24 +199,6 @@ def test_broken_raney_shift_fails_each_scanned_length(monkeypatch):
     assert [desc for desc in descriptions if "scanned" in desc] == [
         f"raney uniqueness scanned length {length}" for length in range(2, 6)
     ]
-
-
-def test_high_up_marks_count_the_entry_marks(monkeypatch):
-    # the suite counts the high-up entry's marks without building them: the
-    # count it checks at each n is the number of marks the entry makes there
-    got = {}
-    check = VerifyReport.check
-
-    def record(self, description, expected, value):
-        got[description] = value
-        check(self, description, expected, value)
-
-    monkeypatch.setattr(VerifyReport, "check", record)
-    assert verify_bijections(8).passed
-    marks = BIJECTIONS["high-up"].marks
-    for n in range(1, 9):
-        expected = sum(len(marks(p)) for p in paths.enumerate_dyck(n))
-        assert got[f"high up marks n={n}"] == expected, n
 
 
 def test_deep_valley_count_is_the_papers_sum():
