@@ -11,15 +11,13 @@ caller's pattern in ``split_reverse_inverse`` still gets it.
 
 from collections.abc import Sequence
 from itertools import accumulate
-from operator import neg
 
 from .paths import (
     D,
     U,
     MarkedPath,
     Path,
-    _Value,
-    _new,
+    _marked_path,
     _rc,
     _require_dyck,
     _unchecked_path,
@@ -30,6 +28,7 @@ from .paths import (
     raney_shift,  # noqa: F401
     units,
 )
+from .values import _new, _Value
 
 
 def reflect_after_touch(p: Path, level: int) -> Path:
@@ -57,9 +56,9 @@ def split_reverse(mp: MarkedPath, survivor: int) -> Path:
     if survivor not in (U, D):
         raise ValueError("survivor must be U or D")
     steps = mp.path.steps
-    pre = steps[: mp.mark_start]
-    post = steps[mp.mark_start + mp.mark_len :]
-    return _unchecked_path(_rc(pre) + (survivor,) + _rc(post))
+    # rc(pre) and rc(post) are the ends of one reverse complement of the steps
+    rc, end = _rc(steps), len(steps) - mp.mark_start
+    return _unchecked_path(rc[end:] + (survivor,) + rc[: end - mp.mark_len])
 
 
 def split_reverse_inverse(
@@ -76,22 +75,24 @@ def split_reverse_inverse(
     if survivor not in (U, D):
         raise ValueError("survivor must be U or D")
     pat = tuple(pattern.steps if isinstance(pattern, Path) else pattern)
-    heights = tuple(accumulate(image.steps, initial=0))
+    steps = image.steps
+    heights = tuple(accumulate(steps, initial=0))
     low = min(heights)
     if survivor == U:
         vertex = len(heights) - 1 - heights[::-1].index(low)
-        if vertex >= image.length or image.steps[vertex] != U:
+        if vertex >= len(steps) or steps[vertex] != U:
             raise ValueError("no surviving up step at the rightmost minimum")
-        pre_r = image.steps[:vertex]
-        post_r = image.steps[vertex + 1 :]
+        start = vertex
     else:
         vertex = heights.index(low)
-        if vertex < 1 or image.steps[vertex - 1] != D:
+        if vertex < 1 or steps[vertex - 1] != D:
             raise ValueError("no surviving down step into the leftmost minimum")
-        pre_r = image.steps[: vertex - 1]
-        post_r = image.steps[vertex:]
-    path = Path(_rc(pre_r) + pat + _rc(post_r))
-    return MarkedPath(path, len(pre_r), len(pat))
+        start = vertex - 1
+    # the image is rc(pre) + survivor + rc(post), so pre is rc[end:]
+    rc, end = _rc(steps), len(steps) - start
+    path = Path(rc[end:] + pat + rc[: end - 1])
+    # the mark lies in the path by construction; MarkedPath refuses an empty one
+    return (_marked_path if pat else MarkedPath)(path, start, len(pat))
 
 
 def lift_marked_unit(dp: Path, unit_index: int) -> Path:
@@ -378,8 +379,9 @@ def area_mark_encode(am: AreaMark) -> Path:
     """
     steps, heights, u = am.path.steps, am.path.height_profile, am.up_index
     s = heights.index(heights[u] - am.j - 1, u + 1)
+    rc, size = _rc(steps), len(steps)  # rc of steps[i:k] is rc[size - k : size - i]
     return _unchecked_path(
-        steps[u + 1 : s] + (D,) + _rc(steps[:u]) + (D,) + _rc(steps[s + 1 :])
+        steps[u + 1 : s] + (D,) + rc[size - u :] + (D,) + rc[: size - s - 1]
     )
 
 
@@ -415,10 +417,9 @@ def area_mark_decode(image: Path) -> AreaMark:
         raise ValueError("split points are not down steps")
     if heights[a] - heights[b - 1] + 1 != m:  # the height of the marked up step
         raise ValueError("reconstructed mark height mismatch")
-    # each section reverse-complemented from one reversed slice, which stops
-    # at a - 1 or b - 1, both >= 0 as heights[0] = 0 > -j - 1 > low
-    head = tuple(map(neg, steps[b - 2 : a - 1 : -1]))
-    tail = tuple(map(neg, steps[: b - 1 : -1]))
+    # both sections from one reverse complement, as in area_mark_encode
+    rc, size = _rc(steps), len(steps)
+    head, tail = rc[size - b + 1 : size - a], rc[: size - b]
     reconstructed = _unchecked_path(head + (U,) + steps[: a - 1] + (D,) + tail)
     return _area_mark(reconstructed, len(head), j)
 

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from itertools import accumulate, chain, islice, repeat
 
-from .paths import _Value
+from .values import _Value
 from .words import StatId, StatKind
 
 # Every memo but _far grows under the reentrant _rows_lock, through _grow or,

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 # closed_total stays importable from here: benchmark/tracing.py wraps
 # oeis.closed_total by name
 from .formulas import closed_total, closed_totals  # noqa: F401
-from .paths import _Value
+from .values import _Value
 from .words import StatId, StatKind
 
 

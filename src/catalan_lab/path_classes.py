@@ -18,7 +18,8 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
-from .paths import MarkedPath, Path, _Value
+from .paths import MarkedPath, Path
+from .values import _Value
 
 _FEW = 3  # stray and missing paths an image record shows
 _TO_STEPS = str.maketrans("10", "UD")

@@ -24,7 +24,6 @@ from .paths import (
     MarkedPath,
     Path,
     _unchecked_path,
-    _Value,
     count_factor,
     ddu_udu_counts,
     enumerate_dyck,
@@ -34,6 +33,7 @@ from .paths import (
     reverse_complement,
     units,
 )
+from .values import _Value
 from .words import (
     ADJACENCY_INCREMENTS,
     StatId,

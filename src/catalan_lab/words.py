@@ -16,7 +16,11 @@ from itertools import accumulate
 from operator import ge, gt, le, lt, mul
 
 from .limits import COUNT_MAX_N, check_ceiling
-from .paths import D, U, Path, _require_dyck, _unchecked_path, _Value
+from .values import _Value
+
+# Bound from ``paths`` by the first word/path conversion, which loads it, so a
+# process that converts nothing never compiles ``paths``.
+D = U = _require_dyck = _unchecked_path = None
 
 
 class Word(_Value):
@@ -177,8 +181,15 @@ def enumerate_catalan(n: int, *, max_n: int | None = None) -> Iterator[Word]:
     return rec(0)
 
 
-def word_to_path(w: Word) -> Path:
+def _bind_paths() -> None:
+    global D, U, _require_dyck, _unchecked_path
+    from .paths import D, U, _require_dyck, _unchecked_path
+
+
+def word_to_path(w: Word) -> "Path":
     """The Dyck path whose i-th up step ends at height of the i-th letter."""
+    if _unchecked_path is None:
+        _bind_paths()
     steps: list[int] = []
     prev = 0
     for letter in w.letters:
@@ -189,8 +200,10 @@ def word_to_path(w: Word) -> Path:
     return _unchecked_path(tuple(steps))
 
 
-def path_to_word(p: Path) -> Word:
+def path_to_word(p: "Path") -> Word:
     """Inverse of word_to_path: read off the heights of the up steps."""
+    if _require_dyck is None:
+        _bind_paths()
     _require_dyck(p)
     return Word(tuple(h for s, h in zip(p.steps, p.height_profile) if s == U))
 

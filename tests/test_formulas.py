@@ -940,7 +940,9 @@ class TestOracleAgreement:
 class TestOracleIndependence:
     """The enumeration oracles share no code with the closed forms they check."""
 
-    @pytest.mark.parametrize("module", ["words", "paths", "bijections", "path_classes"])
+    @pytest.mark.parametrize(
+        "module", ["words", "paths", "bijections", "path_classes", "values"]
+    )
     def test_oracle_does_not_import_formulas(self, module):
         source = Path(catalan_lab.__file__).with_name(f"{module}.py").read_text()
         imported = set()

@@ -1,10 +1,12 @@
 """The public surface of the catalan_lab package, and the modules each
 command line process loads."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,8 +99,9 @@ sys.stderr.write(json.dumps([code, loaded]))
 # The catalan_lab modules each command loads, exactly: a command imports the
 # library modules it reads when it runs, and no other.
 CLI = ["catalan_lab", "catalan_lab.cli", "catalan_lab.limits"]
-PATHS = sorted(CLI + ["catalan_lab.paths"])
-WORDS = sorted(PATHS + ["catalan_lab.words"])
+VALUES = sorted(CLI + ["catalan_lab.values"])
+PATHS = sorted(VALUES + ["catalan_lab.paths"])
+WORDS = sorted(VALUES + ["catalan_lab.words"])
 FORMULAS = sorted(WORDS + ["catalan_lab.formulas"])
 LOADS = {
     ("totals", "--n-max", "1"): FORMULAS,
@@ -109,6 +112,7 @@ LOADS = {
     ("enumerate", "--kind", "paths", "--n", "3"): PATHS,
     ("enumerate", "--kind", "words", "--n", "3", "--stats", "all", "--format", "csv"):
         WORDS,
+    ("oeis", "A000346", "--terms", "3"): sorted(FORMULAS + ["catalan_lab.oeis"]),
 }
 
 
@@ -179,3 +183,98 @@ def test_suite_and_bfile_commands_load_no_dataclasses(argv):
     code, loaded = loaded_by(*argv)
     assert code == 0
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def run_fresh(source):
+    """Run ``source`` in a fresh interpreter and return what it printed last."""
+    proc = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["words", "formulas", "oeis"])
+def test_word_side_module_loads_no_paths(module):
+    loaded = run_fresh(
+        f"import json, sys, catalan_lab.{module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('catalan_lab'))))"
+    )
+    assert f"catalan_lab.{module}" in loaded
+    assert "catalan_lab.paths" not in loaded
+
+
+def test_word_path_maps_load_paths_on_first_use():
+    first, second, loaded_before, loaded_after = run_fresh(
+        "import json, sys\n"
+        "from catalan_lab.words import Word, path_to_word, word_to_path\n"
+        "before = 'catalan_lab.paths' in sys.modules\n"
+        "w = Word((1, 2, 3, 2, 2, 1, 2))\n"
+        "p = word_to_path(w)\n"
+        "assert path_to_word(p) == w\n"
+        "after = 'catalan_lab.paths' in sys.modules\n"
+        "from catalan_lab.paths import Path\n"
+        "q = word_to_path(w)\n"
+        "assert type(p) is type(q) is Path and q == p and path_to_word(q) == w\n"
+        "print(json.dumps([str(p), str(q), before, after]))"
+    )
+    assert first == second == "UUUDDUDUDDUUDD"
+    assert (loaded_before, loaded_after) == (False, True)
+
+
+# The package modules each module imports when it loads, not counting the
+# imports inside its functions: a new edge here is compile time added to
+# every process that loads the importing module. "catalan_lab" is the package.
+IMPORTS_AT_LOAD = {
+    "__init__": set(),
+    "bijections": {"paths", "values"},
+    "cli": {"catalan_lab", "limits"},
+    "formulas": {"values", "words"},
+    "limits": set(),
+    "oeis": {"formulas", "values", "words"},
+    "path_classes": {"paths", "values"},
+    "paths": {"limits", "values"},
+    "values": set(),
+    "verify": {
+        "bijections", "formulas", "limits", "path_classes", "paths", "values", "words",
+    },
+    "words": {"limits", "values"},
+}
+
+
+def imports_at_load(source, modules):
+    """The package modules that a module's source imports outside its
+    functions, named as in ``IMPORTS_AT_LOAD``."""
+    dotted = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"catalan_lab.{base}".rstrip(".")
+            if base == "catalan_lab":
+                dotted += [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                dotted.append(base)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    found = set()
+    for name in dotted:
+        top, _, rest = name.partition(".")
+        if top == "catalan_lab":
+            module = rest.partition(".")[0]
+            found.add(module if module in modules else top)
+    return found
+
+
+def test_import_graph_is_pinned():
+    package = Path(catalan_lab.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    assert modules.keys() == IMPORTS_AT_LOAD.keys()
+    got = {
+        name: imports_at_load(path.read_text(), modules) for name, path in modules.items()
+    }
+    assert got == IMPORTS_AT_LOAD
