@@ -17,6 +17,7 @@ from .paths import (
     U,
     MarkedPath,
     Path,
+    _check_steps,
     _marked_path,
     _rc,
     _require_dyck,
@@ -90,7 +91,8 @@ def split_reverse_inverse(
         start = vertex - 1
     # the image is rc(pre) + survivor + rc(post), so pre is rc[end:]
     rc, end = _rc(steps), len(steps) - start
-    path = Path(rc[end:] + pat + rc[: end - 1])
+    _check_steps(pat)  # the sections around it come from the checked image
+    path = _unchecked_path(rc[end:] + pat + rc[: end - 1])
     # the mark lies in the path by construction; MarkedPath refuses an empty one
     return (_marked_path if pat else MarkedPath)(path, start, len(pat))
 
@@ -392,6 +394,9 @@ def area_mark_decode(image: Path) -> AreaMark:
     and the leftmost vertices at heights -j - 1 and -(m + j + 1) flank the
     reverse-complemented head section.
 
+    The marked up step's height needs no check: step b - 1 is D, so it is
+    heights[a] - heights[b - 1] + 1 = (-j - 1) - (low + 1) + 1 = m.
+
     Past these checks, head + U + chained + D + tail is a Dyck path, so the
     mark skips AreaMark's checks. The head stays >= 0 and ends at m - 1: its
     section ends at the first vertex at the minimum. The chained steps stay
@@ -415,8 +420,6 @@ def area_mark_decode(image: Path) -> AreaMark:
     b = heights.index(low, a)  # the minimum lies below -j - 1
     if steps[a - 1] != D or steps[b - 1] != D:
         raise ValueError("split points are not down steps")
-    if heights[a] - heights[b - 1] + 1 != m:  # the height of the marked up step
-        raise ValueError("reconstructed mark height mismatch")
     # both sections from one reverse complement, as in area_mark_encode
     rc, size = _rc(steps), len(steps)
     head, tail = rc[size - b + 1 : size - a], rc[: size - b]

@@ -30,7 +30,8 @@ from .words import StatId, StatKind
 # sweeps to n=300 need row 602. Rows up to _HELD_ROWS are held whole, each as
 # its first half, C(m, i) for i <= m // 2: about 1.4 MB. They cover every row
 # read whole: the binomial-product-sum dot product and its product columns of
-# C(m, k) * C(m-k, k), under 2 MB in all. Rows above them, up to the limit,
+# C(m, k) * C(m-k, k), under 2 MB in all, grown one Pascal row at a time,
+# column 0 last, to the last row asked for. Rows above them, up to the limit,
 # serve point reads of a few hundred central entries from _far, math.comb
 # memoized to 1,024 entries, about 0.3 MB. The running sums of two identities,
 # _pair_sums and _mark_sums, keep the entries whose terms read rows up to the
@@ -87,8 +88,9 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if n <= _HELD_ROWS:
-        # min(k, n - k), written out: the min() call costs more on this path
-        return _pascal_row(n)[k if 2 * k <= n else n - k]
+        # the held row read in place, min(k, n - k) written out: calls cost more
+        row = _rows[n] if n < len(_rows) else _pascal_row(n)
+        return row[k if 2 * k <= n else n - k]
     if n <= PASCAL_ROW_LIMIT:
         return _far(n, k if 2 * k <= n else n - k)
     return math.comb(n, k)
@@ -345,16 +347,21 @@ def _descent_run_split(n: int) -> tuple[int, int]:
     return binomial(2 * n, n), rhs
 
 
+def _product_row(m: int) -> int:
+    """Append C(m, j) * C(m-j, j) to column j for 1 <= j <= m // 2, and
+    return column 0's entry, 1, for _grow to append last."""
+    row = _pascal_row(m)
+    for j, column in enumerate(islice(_columns, 1, m // 2 + 1), 1):
+        column.append(row[j] * _pascal_row(m - j)[j if 3 * j <= m else m - 2 * j])
+    return 1
+
+
 def _product_column(k: int, top: int) -> list[int]:
-    """C(m, k) * C(m-k, k) for m = 2k, 2k+1, ..., up to top at least, for
-    top <= _HELD_ROWS."""
-    if k >= len(_columns) or 2 * k + len(_columns[k]) <= top:
-        _grow(_columns, k + 1, lambda _: [])
-
-        def entry(i: int) -> int:  # m = 2k + i; min(k, i) written out, as in binomial
-            return _pascal_row(2 * k + i)[k] * _pascal_row(k + i)[k if k <= i else i]
-
-        _grow(_columns[k], top - 2 * k + 1, entry)
+    """C(m, k) * C(m-k, k) for m = 2k, ..., top at least, top <= _HELD_ROWS.
+    The columns grow a row at a time, column 0 last, so all hold its rows."""
+    if not _columns or len(_columns[0]) <= top:
+        _grow(_columns, top // 2 + 1, lambda _: [])
+        _grow(_columns[0], top + 1, _product_row)
     return _columns[k]
 
 

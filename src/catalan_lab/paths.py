@@ -47,14 +47,7 @@ class Path(_Value):
     __slots__ = ("steps", "_text", "_profile", "_low")
 
     def __new__(cls, steps: tuple[int, ...]):
-        try:
-            valid = _STEPS.issuperset(steps)
-        except TypeError:  # an unhashable step, named by the loop below
-            valid = False
-        if not valid:
-            for s in steps:
-                if s != U and s != D:
-                    raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
+        _check_steps(steps)
         return _unchecked_path(steps)
 
     @classmethod
@@ -167,6 +160,18 @@ class Endpoint(_Value):
     @property
     def downs(self) -> int:
         return (self.a - self.b) // 2
+
+
+def _check_steps(steps: Sequence[int]) -> None:
+    """Path's step check: raise ValueError naming the first step not U or D."""
+    try:
+        valid = _STEPS.issuperset(steps)
+    except TypeError:  # an unhashable step, named by the loop below
+        valid = False
+    if not valid:
+        for s in steps:
+            if s != U and s != D:
+                raise ValueError(f"steps must be +1 (U) or -1 (D), got {s!r}")
 
 
 def _unchecked_path(steps: tuple[int, ...]) -> Path:

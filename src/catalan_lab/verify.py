@@ -580,10 +580,11 @@ def verify_identities(n_max: int = 300) -> VerifyReport:
     rpt = VerifyReport("identities")
     start = time.perf_counter()
     for ident, entry in formulas.IDENTITIES.items():
+        name, ks = ident.value, entry.ks
         for n in range(entry.floor, n_max + 1):
-            for k in entry.ks(n) if entry.ks else (None,):
+            for k in ks(n) if ks else (None,):
                 res = formulas.identity_check(ident, n, k)
-                label = f"{ident.value} n={n}" + ("" if k is None else f" k={k}")
+                label = f"{name} n={n}" + ("" if k is None else f" k={k}")
                 rpt.check(label, res.lhs, res.rhs)
     rpt.elapsed = time.perf_counter() - start
     return rpt

@@ -763,6 +763,22 @@ class TestPairedProductSum:
             res = identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, n, k)
             assert res.lhs == literal_product_sum(n, k), (n, k)
 
+    def test_product_columns_grow_a_row_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_columns", [])
+
+        def filled_to(top):  # columns 0..top // 2, each holding rows 2k..top
+            return [
+                [math.comb(m, k) * math.comb(m - k, k) for m in range(2 * k, top + 1)]
+                for k in range(top // 2 + 1)
+            ]
+
+        # one k asks for row 39, and every column gets it, not just column 7
+        assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, 40, 7).holds
+        assert formulas._columns == filled_to(39)
+        # the next n adds one row to each column, and opens column 20 with it
+        assert identity_check(IdentityId.BINOMIAL_PRODUCT_SUM, 41, 0).holds
+        assert formulas._columns == filled_to(40)
+
     @pytest.mark.parametrize("k", [0, 100, 149])
     def test_first_call_in_a_fresh_process_returns(self, k):
         proc = subprocess.run(
