@@ -43,8 +43,9 @@ print("slot fill ((1, 1), (1, 2)) rebuilds to",
       peak_rebuild(peak_vector_from_slots([(1, 1), (1, 2)])))
 print()
 
-# Uniform sampling via the same rotation trick: shuffle n ups and n+1
-# downs, rotate to the unique admissible start, drop the forced step.
+# Uniform sampling via the same rotation trick: arrange n+1 ups and n
+# downs at random, rotate to the unique admissible start, drop the forced
+# up step.
 rng = random.Random(2026)
 draws = 20_000
 freq = Counter(str(random_dyck_path(4, rng)) for _ in range(draws))

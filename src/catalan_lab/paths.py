@@ -7,21 +7,22 @@ the x-axis and never go below it. The module provides ordered enumeration
 occurrence counting with the height and terminality filters needed for
 marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
 cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
-the random source handed to it. It shuffles an arrangement of ``"U"`` and
-``"D"`` characters and cuts each draw's text from their join once:
-``random_dyck_text`` returns that text and builds no ``Path``, and
-``random_dyck_path`` keeps it in the path it builds. The enumerators, the
-sampler, ``reverse_complement``, the maps in ``bijections``,
-``words.word_to_path`` and ``verify.negative_final_paths`` build their paths
-from the ``U`` and ``D`` constants or from the steps of checked paths, and
-skip the step check through ``_unchecked_path``, which the path enumerator
-writes out in its loop; ``Path(...)`` still makes it on every other input.
+the random source handed to it and reads only its ``getrandbits``, so a seed
+gives the same draws on one Python. It draws an arrangement of n + 1 U and
+n D as fair bits whose count it fixes by uniformly placed flips, and cuts
+each draw's text from the arrangement's text once: ``random_dyck_text``
+returns that text and builds no ``Path``, and ``random_dyck_path`` keeps it
+in the path it builds. The enumerators, the sampler, ``reverse_complement``,
+the maps in ``bijections``, ``words.word_to_path`` and
+``verify.negative_final_paths`` build their paths from the ``U`` and ``D``
+constants or from the steps of checked paths, and skip the step check
+through ``_unchecked_path``, which the path enumerator writes out in its
+loop; ``Path(...)`` still makes it on every other input.
 """
 
 import random
-import sys
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from itertools import accumulate, product
 from operator import indexOf, neg
@@ -35,7 +36,9 @@ D = -1
 _STEPS = frozenset({U, D})
 _CHAR_TO_STEP = {"U": U, "u": U, "D": D, "d": D}
 _step_char = {U: "U", D: "D"}.__getitem__
-_SIGNED_STEPS = bytes.maketrans(b"UD", b"\x01\xff")  # U and D as array("b") items
+# The sampler's bits ("1" for U, "0" for D) as text and as array("b") items
+_BITS_TO_TEXT = bytes.maketrans(b"10", b"UD")
+_BITS_TO_SIGNED = bytes.maketrans(b"10", b"\x01\xff")
 _BLOCK = 8  # steps per block of the enumeration tables
 
 
@@ -46,14 +49,15 @@ class Path(_Value):
     __match_args__ = ("steps",)
     __slots__ = ("steps", "_text", "_profile", "_low")
 
-    def __new__(cls, steps: tuple[int, ...]):
+    def __new__(cls, steps: Iterable[int]):
+        steps = tuple(steps)
         _check_steps(steps)
         return _unchecked_path(steps)
 
     @classmethod
     def from_string(cls, text: str) -> "Path":
         try:
-            return cls(tuple(_CHAR_TO_STEP[ch] for ch in text))
+            return cls(_CHAR_TO_STEP[ch] for ch in text)
         except KeyError as exc:
             raise ValueError(f"invalid step character {exc.args[0]!r}") from None
 
@@ -408,50 +412,36 @@ def _rotation(values: Sequence[int]) -> int:
     return len(values) - indexOf(accumulate(reversed(values)), top)
 
 
-def _shuffle(rng: random.Random, x: list) -> None:
-    """Shuffle ``x`` in place with exactly the draws of ``rng.shuffle(x)``.
-
-    Step i of ``random.Random.shuffle`` swaps x[i] with x[j], j drawn by
-    ``getrandbits(k)`` with k = (i + 1).bit_length() and drawn again while
-    j > i. On CPython 3.10-3.12, ``getrandbits(k)`` for k <= 32 is the top k
-    bits of one Mersenne Twister word, and ``getrandbits(32 * i)`` packs i
-    successive words, least significant first. Every step takes at least one
-    word, so a block of i words never draws past what ``shuffle`` would.
-    """
-    i = len(x) - 1
-    k = (i + 1).bit_length()
-    shift = 32 - k
-    low = (1 << k) // 2 - 1  # i + 1 keeps its bit length while i >= low
-    while i > 0:
-        words = array("I", rng.getrandbits(32 * i).to_bytes(4 * i, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        for w in words:
-            j = w >> shift
-            if j <= i:
-                x[i], x[j] = x[j], x[i]
-                i -= 1
-                if i < low:
-                    shift += 1
-                    low >>= 1
-
-
 def _draw(n: int, rng: random.Random | None) -> tuple[str, array, int]:
-    """One draw of the cycle lemma: the Dyck path's text, the shuffled
-    arrangement as signed steps, and the rotation ``r`` that cuts the path
+    """One draw of the cycle lemma: the Dyck path's text, the arrangement of
+    n + 1 U and n D as signed steps, and the rotation ``r`` that cuts the path
     from it, as ``text[r:] + text[:r - 1]`` of the arrangement's text.
 
-    The arrangement is shuffled as one-character strings, so its text is a
-    single join; the signed steps are that text's bytes, translated.
+    The arrangement starts as the 2n + 1 fair bits of one
+    ``getrandbits(2n + 1)``, most significant first, 1 for U. While the ones
+    are not n + 1, a position j is drawn by ``getrandbits`` of the bit length
+    of 2n + 1, redrawn while j >= 2n + 1, and its bit is flipped when that
+    moves the count toward n + 1. The bits are uniform given their count, and
+    a uniform subset stays uniform when a uniformly chosen member is removed or
+    a uniformly chosen non-member added (Knuth, TAOCP vol. 2, 3.4.2), so the
+    arrangement is uniform. About sqrt(n / pi) flips are needed.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     if rng is None:
         rng = random.Random()
-    arrangement = ["D"] * n + ["U"] * (n + 1)
-    _shuffle(rng, arrangement)
-    text = "".join(arrangement)
-    values = array("b", text.encode("ascii").translate(_SIGNED_STEPS))
+    size = 2 * n + 1
+    bits = bytearray(format(rng.getrandbits(size), "b").zfill(size), "ascii")
+    excess = bits.count(49) - n - 1  # ones ("1" is byte 49) beyond n + 1
+    turned, step = (49, 1) if excess > 0 else (48, -1)
+    k = size.bit_length()
+    while excess:
+        j = rng.getrandbits(k)
+        if j < size and bits[j] == turned:
+            bits[j] ^= 1  # "0" and "1" differ in the low bit
+            excess -= step
+    text = bits.translate(_BITS_TO_TEXT).decode("ascii")
+    values = array("b", bits.translate(_BITS_TO_SIGNED))
     r = _rotation(values)
     return text[r:] + text[: r - 1], values, r
 
@@ -459,13 +449,13 @@ def _draw(n: int, rng: random.Random | None) -> tuple[str, array, int]:
 def random_dyck_path(n: int, rng: random.Random | None = None) -> Path:
     """Draw a uniformly random Dyck path of length 2n via the cycle lemma.
 
-    Shuffles n down and n + 1 up steps, finds the unique rotation with
-    all-positive partial sums, and drops its forced leading up step. Every
-    Dyck path is hit by exactly 2n + 1 arrangements, so the draw is uniform
-    without rejection. The only generator method called is
-    ``rng.getrandbits``, in blocks, and the words drawn and the state left
-    behind are those of ``rng.shuffle`` on the arrangement. The path's text
-    is kept as if already read.
+    Arranges n + 1 up and n down steps uniformly at random, finds the unique
+    rotation with all-positive partial sums, and drops its forced leading up
+    step. Every Dyck path is hit by exactly 2n + 1 arrangements, so the draw
+    is uniform without rejection. The only generator method called is
+    ``rng.getrandbits``, so on one Python a seed gives the same paths and
+    leaves the generator in the same state. The path's text is kept as if
+    already read.
     """
     text, values, r = _draw(n, rng)
     p = _unchecked_path(tuple(values[r:] + values[: r - 1]))

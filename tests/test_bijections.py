@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import pytest
+import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ from catalan_lab import (
     peak_rebuild,
     peak_vector_from_slots,
     random_dyck_path,
+    random_dyck_text,
     raney_shift,
     reflect_after_touch,
     remove_ud,
@@ -620,34 +622,53 @@ class TestSampler:
         with pytest.raises(ValueError):
             random_dyck_path(-1)
 
-    @staticmethod
-    def shuffle_draw(n, rng):
-        """The sampler written with random.Random.shuffle."""
-        arrangement = [D] * n + [U] * (n + 1)
-        rng.shuffle(arrangement)
-        r = raney_shift(arrangement)
-        return Path(tuple(arrangement[r:] + arrangement[: r - 1]))
-
+    # reference_draw (conftest.py) is the sampler written out; these tests
+    # are named from when the reference was random.Random.shuffle.
     @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1])
-    def test_same_draws_as_shuffle(self, seed):
+    def test_same_draws_as_shuffle(self, seed, reference_draw):
         rng, ref = random.Random(seed), random.Random(seed)
         for n in [*range(71), 127, 128, 255, 256, 1000]:
-            assert random_dyck_path(n, rng) == self.shuffle_draw(n, ref), n
+            assert random_dyck_path(n, rng) == reference_draw(n, ref), n
             assert rng.getstate() == ref.getstate(), n
 
-    def test_same_large_draw_as_shuffle(self):
+    def test_same_large_draw_as_shuffle(self, reference_draw):
         rng, ref = random.Random(5), random.Random(5)
-        assert random_dyck_path(100000, rng) == self.shuffle_draw(100000, ref)
+        assert random_dyck_path(100000, rng) == reference_draw(100000, ref)
         assert rng.getstate() == ref.getstate()
 
-    def test_same_draws_between_choices(self):
+    def test_same_draws_between_choices(self, reference_draw):
         # as Bijection.draw: a path, then a choice among its steps
         rng, ref = random.Random(99), random.Random(99)
         for n in range(1, 40):
-            p, q = random_dyck_path(n, rng), self.shuffle_draw(n, ref)
+            p, q = random_dyck_path(n, rng), reference_draw(n, ref)
             assert p == q
             assert rng.choice(range(len(p))) == ref.choice(range(len(q)))
             assert rng.getstate() == ref.getstate()
+
+    def test_reads_only_getrandbits(self):
+        class BitsOnly(random.Random):
+            def _refuse(self, *args, **kwargs):
+                raise AssertionError("the sampler read more than getrandbits")
+
+            random = randrange = choice = shuffle = _refuse
+
+        rng = BitsOnly(3)
+        for n in [0, 1, 2, 5, 200, 1001]:
+            assert is_dyck(random_dyck_path(n, rng))
+            assert len(random_dyck_text(n, rng)) == 2 * n
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_uniform_chi_square(self, n):
+        # 2n + 1 fair bits hold too many U in some draws and too few in
+        # others, so both directions of the count fix are drawn
+        cells = dict.fromkeys(map(str, enumerate_dyck(n)), 0)
+        rng = random.Random(4100 + n)
+        draws = 500 * len(cells)
+        for _ in range(draws):
+            cells[random_dyck_text(n, rng)] += 1
+        assert sum(cells.values()) == draws and min(cells.values()) > 0
+        result = scipy.stats.chisquare(list(cells.values()))
+        assert result.pvalue > 0.001, f"chi-square p={result.pvalue:.5f}"
 
 
 class TestMarkedSetHelper:

@@ -860,10 +860,10 @@ class TestPathOutputPins:
         (7, "json"): (0, 17908, "b80d75d194b6e09c571b5931a4c5b0a874bd514df27118523a90c6106e713a98"),
     }
     SAMPLE = {
-        ("200", "50", "1", "plain"): (20050, "35574ed0e488b1aa2180d3e1e86c7b4cc826fcd83fb43b9b55a8436db2fe910a"),
-        ("200", "50", "1", "json"): (21340, "4037b5946a6910c2c669ec5d472562b8661963a4c3c328d40c765a5254415e8a"),
-        ("100000", "2", "2", "plain"): (400002, "9d832ba61c83cd7065b6f62f89eb3ee54ca3496123798f6ff80fd4fcc8c78280"),
-        ("100000", "2", "2", "json"): (400052, "0a6669c402b2614cc936a25201409bdafde536f3b56543376f9bfd2d9c3a8be3"),
+        ("200", "50", "1", "plain"): (20050, "1f70bc9fbec011e492e1a9cafa3ee79f8312b81de9578945258098493e9f1b2c"),
+        ("200", "50", "1", "json"): (21340, "687e1fdcb4dd39b8a0d45c0405cae5829b967daadb18f2b73c47fd854634ff4b"),
+        ("100000", "2", "2", "plain"): (400002, "5e3939de31fdc7008a880a3e8056f1922fe48dbdcc47f366d57dcaa8cb6a433a"),
+        ("100000", "2", "2", "json"): (400052, "49c08b1dbe278351bf5ff0506ab8885bf5bf318c6f0371c289535f2258150aba"),
     }
 
     @staticmethod
@@ -902,13 +902,13 @@ class TestPathOutputPins:
 
 class TestSampleWorkloadPins:
     """stdout (size and sha256) of the two ``sample`` commands of the
-    benchmark's ``bijective`` workload, recorded while ``sample`` still
-    printed ``str()`` of a ``Path`` per draw."""
+    benchmark's ``bijective`` workload, recorded once the sampler drew its
+    arrangements from fair bits with a fixed count."""
 
     PINS = {
-        ("200", "5000", "1", "plain"): (2005000, "31b025c489ac7639cd6675f99fcfacf8dc3da748c7794d316e5b0ace89f82340"),
-        ("200", "5000", "1", "json"): (2143890, "ff06c3ab119941f995523abf15435005d8244633c2ae751100bebbd159627780"),
-        ("100000", "10", "2", "plain"): (2000010, "530148771e90624f2cb7a7ae5c4b345a0b76c42772a7e97d370ca40f01bf0c54"),
+        ("200", "5000", "1", "plain"): (2005000, "cbebfd8ecc7c0250c07dddd7e8b81b253a125982d53b44d91358e20e21e6ab56"),
+        ("200", "5000", "1", "json"): (2143890, "59d58135d4814bda2da6c9a3def561ee0f953ca067414169f38091fbac89a927"),
+        ("100000", "10", "2", "plain"): (2000010, "c1a6053b7c62bd324586654be3aa29f7d256179b48713c472c36a7106c070f48"),
     }
 
     @pytest.mark.parametrize(("n", "count", "seed", "fmt"), PINS)
@@ -968,4 +968,16 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, *case.split())
         assert (code, out, err) == (
             expected["exit"], expected["stdout"], expected.get("stderr", "")
+        )
+
+    def test_sample_cases_are_the_reference_draws(self, reference_draw):
+        rng = random.Random(7)
+        texts = [str(reference_draw(5, rng)) for _ in range(3)]
+        case = "sample --n 5 --count 3 --seed 7 --format"
+        assert self.GOLDEN[f"{case} plain"]["stdout"] == "".join(
+            f"{text}\n" for text in texts
+        )
+        assert self.GOLDEN[f"{case} json"]["stdout"] == "".join(
+            json.dumps({"index": i, "value": text}) + "\n"
+            for i, text in enumerate(texts)
         )

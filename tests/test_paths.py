@@ -111,6 +111,17 @@ class TestPathType:
             Path(steps)
         assert str(raised.value) == f"steps must be +1 (U) or -1 (D), got {bad}"
 
+    @pytest.mark.parametrize(
+        "make",
+        [tuple, list, lambda steps: (s for s in steps)],
+        ids=["tuple", "list", "generator"],
+    )
+    def test_any_iterable_of_steps_is_held_as_a_tuple(self, make):
+        p = Path(make([U, U, D, D]))
+        assert p.steps == (U, U, D, D) and type(p.steps) is tuple
+        assert p == P("UUDD") and hash(p) == hash(P("UUDD"))
+        assert p.height_profile == (1, 2, 1, 0) and str(p) == "UUDD"
+
     def test_cached_heights_keep_value_semantics(self):
         p = P("UUDUDDUD")
         profile = p.height_profile

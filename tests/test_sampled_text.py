@@ -5,25 +5,9 @@ import random
 
 import pytest
 
-from catalan_lab import (
-    D,
-    U,
-    Path,
-    is_dyck,
-    random_dyck_path,
-    random_dyck_text,
-    raney_shift,
-)
+from catalan_lab import Path, is_dyck, random_dyck_path, random_dyck_text
 
 SIZES = [*range(71), 127, 128, 255, 256, 1000, 100000]
-
-
-def shuffle_text(n, rng):
-    """The sampled text written with random.Random.shuffle."""
-    arrangement = [D] * n + [U] * (n + 1)
-    rng.shuffle(arrangement)
-    r = raney_shift(arrangement)
-    return str(Path(tuple(arrangement[r:] + arrangement[: r - 1])))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1])
@@ -37,12 +21,14 @@ def test_text_is_the_sampled_path(seed):
         assert Path.from_string(text) == p, n
 
 
+# Named from when the sampler made the draws of random.Random.shuffle; the
+# reference is conftest's reference_draw.
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1])
-def test_same_text_as_shuffle(seed):
+def test_same_text_as_shuffle(seed, reference_draw):
     rng, ref = random.Random(seed), random.Random(seed)
     for n in SIZES:
         text = random_dyck_text(n, rng)
-        assert text == shuffle_text(n, ref), n
+        assert text == str(reference_draw(n, ref)), n
         assert rng.getstate() == ref.getstate(), n
         assert len(text) == 2 * n and is_dyck(Path.from_string(text)), n
 
