@@ -820,7 +820,7 @@ class TestSample:
         assert f"sample count must be positive, got {count}" in err
 
     def test_size_past_an_index_is_usage_error(self, capsys):
-        # the size overflows an index before the arrangement is allocated
+        # the size overflows getrandbits' bit count before any draw is made
         code, out, err = run_cli(
             capsys, "sample", "--n", "99999999999999999999", "--seed", "1"
         )

@@ -112,9 +112,7 @@ class TestPathType:
         assert str(raised.value) == f"steps must be +1 (U) or -1 (D), got {bad}"
 
     @pytest.mark.parametrize(
-        "make",
-        [tuple, list, lambda steps: (s for s in steps)],
-        ids=["tuple", "list", "generator"],
+        "make", [tuple, list, iter], ids=["tuple", "list", "iterator"]
     )
     def test_any_iterable_of_steps_is_held_as_a_tuple(self, make):
         p = Path(make([U, U, D, D]))
