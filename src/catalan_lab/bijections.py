@@ -14,6 +14,7 @@ from itertools import accumulate
 
 from .paths import (
     D,
+    FACTORS,
     U,
     MarkedPath,
     Path,
@@ -23,7 +24,6 @@ from .paths import (
     _require_dyck,
     _unchecked_path,
     ddu_udu_counts,
-    factor_occurrences,
     is_dyck,
     random_dyck_path,  # noqa: F401
     raney_shift,  # noqa: F401
@@ -316,7 +316,7 @@ def remove_ud(p: Path) -> tuple[Path, tuple[int, ...]]:
     kept: list[int] = []
     positions = []
     ups = start = 0
-    for i in factor_occurrences(p, (U, D, U)):
+    for i in FACTORS["udu"].occurrences(p):
         ups += text.count("U", start, i)
         positions.append(ups)
         kept += steps[start:i]

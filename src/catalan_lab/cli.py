@@ -28,7 +28,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from . import _SOURCE
-from .limits import SUITE_CAPS, EnumerationLimitError
+from .limits import SAMPLE_MAX_N, SUITE_CAPS, EnumerationLimitError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -295,6 +295,8 @@ def cmd_distribution(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"sample count must be positive, got {args.count}")
+    if args.n > SAMPLE_MAX_N:
+        raise ValueError(f"sample size must be at most {SAMPLE_MAX_N}, got {args.n}")
     _bind("random_dyck_text")
     rng = random.Random(args.seed)
     rows = (

@@ -4,8 +4,8 @@ Exhaustive enumeration grows like the Catalan numbers, so every enumerator
 refuses sizes above a configurable ceiling instead of silently grinding.
 Precedence: explicit ``max_n`` argument (CLI flag) > the ``CATALAN_LAB_MAX_N``
 environment variable > the built-in default. Counts that enumerate nothing
-are bounded by the fixed ``COUNT_MAX_N`` instead, and each verification
-suite by its entry in ``SUITE_CAPS``.
+are bounded by the fixed ``COUNT_MAX_N`` instead, each verification suite
+by its entry in ``SUITE_CAPS``, and a ``sample`` draw by ``SAMPLE_MAX_N``.
 """
 
 import os
@@ -16,6 +16,10 @@ ENV_VAR = "CATALAN_LAB_MAX_N"
 # Counts that enumerate nothing (words.count_histogram) cost a polynomial in n
 # and ignore the ceiling; this fixed cap keeps one call to a few seconds.
 COUNT_MAX_N = 400
+
+# A draw costs time and memory linear in n (about 0.16 s and 9 MB at 10**6),
+# so the sample command refuses a larger n before it draws.
+SAMPLE_MAX_N = 10**7
 
 # The largest n_max of each verification suite; the cli's --suite and --n-max
 # options read it without importing the suites.

@@ -4,20 +4,20 @@ A path is a finite sequence of steps ``U = (1,1)`` and ``D = (1,-1)``,
 stored as a tuple of ``+1`` / ``-1``. Dyck paths are the paths that end on
 the x-axis and never go below it. The module provides ordered enumeration
 (lexicographic with U before D), the reverse-complement involution, factor
-occurrence counting with the height and terminality filters needed for
-marked-path sets, unit decomposition, the (ddu, udu) factor profile, the
-cycle lemma and the uniform Dyck sampler built on it. The sampler owns only
-the random source handed to it and reads only its ``getrandbits``, so a seed
-gives the same draws on one Python. It draws an arrangement of n + 1 U and
-n D as fair bits whose count it fixes by uniformly placed flips, and cuts
-each draw's text from the arrangement's text once: ``random_dyck_text``
-returns that text and builds no ``Path``, and ``random_dyck_path`` keeps it
-in the path it builds. The enumerators, the sampler, ``reverse_complement``,
-the maps in ``bijections``, ``words.word_to_path`` and
-``verify.negative_final_paths`` build their paths from the ``U`` and ``D``
-constants or from the steps of checked paths, and skip the step check
-through ``_unchecked_path``, which the path enumerator writes out in its
-loop; ``Path(...)`` still makes it on every other input.
+occurrences under height and terminality filters, ``FACTORS`` (each factor
+the paper counts or marks, defined once), unit decomposition, the (ddu, udu)
+profile, the cycle lemma and the uniform Dyck sampler built on it. The
+sampler owns only the random source handed to it and reads only its
+``getrandbits``, so a seed gives the same draws on one Python. It draws an
+arrangement of n + 1 U and n D as fair bits whose count it fixes by
+uniformly placed flips, and cuts each draw's text from the arrangement's
+text once: ``random_dyck_text`` returns that text and builds no ``Path``,
+and ``random_dyck_path`` keeps it in the path it builds. The enumerators,
+the sampler, ``reverse_complement``, the maps in ``bijections``,
+``words.word_to_path`` and ``verify.negative_final_paths`` build their paths
+from the ``U`` and ``D`` constants or from the steps of checked paths, and
+skip the step check through ``_unchecked_path``, which the path enumerator
+writes out in its loop; ``Path(...)`` still makes it on every other input.
 """
 
 import random
@@ -364,6 +364,38 @@ def count_factor(
     )
 
 
+class Factor(_Value):
+    """A factor's steps and the ``factor_occurrences`` filters it is kept under."""
+
+    __match_args__ = __slots__ = ("steps", "min_end_height", "terminal")
+    _defaults = {"min_end_height": None, "terminal": None}
+
+    def occurrences(self, p: Path) -> list[int]:
+        h, t = self.min_end_height, self.terminal
+        return factor_occurrences(p, self.steps, min_end_height=h, terminal=t)
+
+    def marks(self, p: Path) -> list[MarkedPath]:
+        return [_marked_path(p, i, len(self.steps)) for i in self.occurrences(p)]
+
+    def count(self, p: Path) -> int:
+        return len(self.occurrences(p))
+
+
+# The factors the paper counts or marks on Dyck paths, each written only here.
+FACTORS: dict[str, Factor] = {
+    "uu": Factor((U, U)),
+    "ddu": Factor((D, D, U)),
+    "udu": Factor((U, D, U)),
+    "uuddu": Factor((U, U, D, D, U)),
+    "high-up": Factor((U,), min_end_height=2),
+    "high-down": Factor((D,), min_end_height=2),
+    "uudd non-terminal": Factor((U, U, D, D), terminal=False),
+    # the paper's U D^j U U for j >= 2: on a Dyck path every run of D steps
+    # follows a U, so each D D U U ends exactly one of them
+    "deep-valley": Factor((D, D, U, U)),
+}
+
+
 def units(p: Path) -> list[tuple[int, int]]:
     """Split a Dyck path into its units, returned as (start, stop) index pairs.
 
@@ -385,7 +417,7 @@ def units(p: Path) -> list[tuple[int, int]]:
 def ddu_udu_counts(p: Path) -> tuple[int, int]:
     """Occurrence counts (k, j) of the factors DDU and UDU in a Dyck path."""
     _require_dyck(p)
-    return count_factor(p, (D, D, U)), count_factor(p, (U, D, U))
+    return FACTORS["ddu"].count(p), FACTORS["udu"].count(p)
 
 
 def raney_shift(values: Sequence[int]) -> int:

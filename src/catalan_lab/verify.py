@@ -12,7 +12,6 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
 
 from . import bijections as bij
 from . import formulas
@@ -20,7 +19,9 @@ from .limits import SUITE_CAPS
 from .path_classes import MarkedClass, PathClass, check_image, check_onto, walk_counts
 from .paths import (
     D,
+    FACTORS,
     U,
+    Factor,
     MarkedPath,
     Path,
     _unchecked_path,
@@ -28,7 +29,6 @@ from .paths import (
     ddu_udu_counts,
     enumerate_dyck,
     enumerate_lattice,
-    factor_occurrences,
     is_dyck,
     reverse_complement,
     units,
@@ -89,28 +89,15 @@ def marked_set(
     paths: Iterable[Path], pattern: Sequence[int], *, min_end_height: int | None = None
 ) -> list[MarkedPath]:
     """All marked occurrences of a factor across a family of paths."""
-    pattern, m = tuple(pattern), len(pattern)
-    return [
-        MarkedPath(p, i, m)
-        for p in paths
-        for i in factor_occurrences(p, pattern, min_end_height=min_end_height)
-    ]
+    marks = Factor(tuple(pattern), min_end_height).marks
+    return [mp for p in paths for mp in marks(p)]
 
 
-# The steps of the factor that each split-reverse map marks.
-_STEPS = {
-    "uu": (U, U), "udu": (U, D, U), "ddu": (D, D, U), "uuddu": (U, U, D, D, U),
-    "high-up": (U,), "high-down": (D,),
-}
-
-# Path-side count of each marked factor, read by TRANSPORT (against
-# stat_value) and by the marked-set cardinalities (against closed forms).
+# The path-side counts of FACTORS read by TRANSPORT (against stat_value) and
+# by the marked-set cardinalities (against closed forms).
 FACTOR_COUNTS: dict[str, Callable[[Path], int]] = {
-    **{f: partial(count_factor, pattern=_STEPS[f]) for f in ("uu", "ddu", "udu", "uuddu")},
-    "uudd non-terminal": partial(count_factor, pattern=(U, U, D, D), terminal=False),
-    # the paper's U D^j U U for j >= 2: on a Dyck path every run of D steps
-    # follows a U, so each D D U U ends exactly one of them
-    "deep-valley": partial(count_factor, pattern=(D, D, U, U)),
+    name: FACTORS[name].count
+    for name in ("uu", "ddu", "udu", "uuddu", "uudd non-terminal", "deep-valley")
 }
 
 
@@ -162,21 +149,8 @@ class Bijection(_Value):
         return rng.choice(choices) if choices else None
 
 
-class _FactorMarks(_Value):
-    """The occurrences of ``pattern`` on one path whose final step ends at
-    ``min_end_height`` or above: marked when called, counted by ``count``."""
-
-    __match_args__ = __slots__ = ("pattern", "min_end_height")
-
-    def __call__(self, p: Path) -> list[MarkedPath]:
-        return marked_set((p,), self.pattern, min_end_height=self.min_end_height)
-
-    def count(self, p: Path) -> int:
-        return count_factor(p, self.pattern, min_end_height=self.min_end_height)
-
-
-def _split_reverse(name, survivor, end, lowest, shift=0, min_end_height=None):
-    """Marks of the factor ``name`` against the image paths that reach ``lowest``.
+def _split_reverse(name, survivor, end, lowest, shift=0):
+    """Marks of ``FACTORS[name]`` against the image paths that reach ``lowest``.
 
     The image paths have 2n - c steps and end at height b, for (c, b) = end;
     those that reach ``lowest`` are all of them but the ones kept above it.
@@ -189,14 +163,14 @@ def _split_reverse(name, survivor, end, lowest, shift=0, min_end_height=None):
         size = walk_counts(a)[b] - walk_counts(a, lowest + 1)[b]
         return PathClass(a, lambda q: q.final_height == b and q.min_height <= lowest, size)
 
-    pattern = _STEPS[name]
+    factor = FACTORS[name]
     return Bijection(
         label=f"split-reverse {name} n={{n}}",
         sizes=lambda n_max: range(2, n_max + 1),
         forward=lambda mp: bij.split_reverse(mp, survivor),
-        inverse=lambda q: bij.split_reverse_inverse(q, pattern, survivor),
+        inverse=lambda q: bij.split_reverse_inverse(q, factor.steps, survivor),
         image=image,
-        marks=_FactorMarks(pattern, min_end_height),
+        marks=factor.marks,
         shift=shift,
     )
 
@@ -240,8 +214,8 @@ BIJECTIONS: dict[str, Bijection] = {
     "udu": _split_reverse("udu", D, (2, 0), -1),
     "ddu": _split_reverse("ddu", D, (2, -2), -3),
     "uuddu": _split_reverse("uuddu", U, (4, 2), 0),
-    "high-up": _split_reverse("high-up", U, (4, 2), -1, 2, min_end_height=2),
-    "high-down": _split_reverse("high-down", D, (4, -2), -4, 2, min_end_height=2),
+    "high-up": _split_reverse("high-up", U, (4, 2), -1, 2),
+    "high-down": _split_reverse("high-down", D, (4, -2), -4, 2),
     # area marks against negative-ending paths of the same length
     "area": Bijection(
         label="area map n={n}",
@@ -413,7 +387,7 @@ def verify_bijections(n_max: int = 8) -> VerifyReport:
         expected_counts.update(uu=B(2 * n - 1, n - 2), udu=B(2 * n - 2, n - 2))
         rpt.check(f"marked factor counts n={n}", expected_counts, counts)
         # the valley insertion maps these marks onto the ell = 1 valleys of size n + 2
-        high_ups = sum(map(BIJECTIONS["high-up"].marks.count, paths))
+        high_ups = sum(map(FACTORS["high-up"].count, paths))
         rpt.check(f"high up marks n={n}", closed(n + 2, "sym-valley:1"), high_ups)
         # the balanced paths that go below -1 are those the low-path map skips
         deep = walk_counts(2 * n - 2)[0] - sizes["low-path", n][0]
@@ -438,10 +412,12 @@ def _check_valley(rpt, n: int, ell: int, dyck) -> None:
     hits each of its occurrences on the Dyck paths of size ``n`` once."""
     pattern = bij.sym_valley_pattern(ell)
     size = sum(count_factor(p, pattern) for p in dyck[n])
+    high = FACTORS["high-up"]
+    inputs = marked_set(dyck[n - ell - 1], high.steps, min_end_height=high.min_end_height)
     check_onto(
         rpt,
         f"valley insert {{}} n={n} ell={ell}",
-        ((mp, ell) for mp in marked_set(dyck[n - ell - 1], (U,), min_end_height=2)),
+        ((mp, ell) for mp in inputs),
         lambda x: bij.sym_valley_insert(*x),
         bij.sym_valley_remove,
         MarkedClass(2 * n, is_dyck, size, pattern),

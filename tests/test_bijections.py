@@ -954,7 +954,8 @@ def verify_with_valley_inputs(monkeypatch, m, change):
     def changed(paths, pattern, **filters):
         marks = real(paths, pattern, **filters)
         # the valley insertion passes a list of Dyck paths of one size; the
-        # split-reverse entries pass one path at a time, in a tuple
+        # split-reverse entries mark through their paths.FACTORS entries and
+        # call no marked_set
         if type(paths) is list and marks and marks[0].path.length == 2 * m:
             return change(marks)
         return marks

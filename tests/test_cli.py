@@ -820,12 +820,32 @@ class TestSample:
         assert f"sample count must be positive, got {count}" in err
 
     def test_size_past_an_index_is_usage_error(self, capsys):
-        # the size overflows getrandbits' bit count before any draw is made
+        # the size is past SAMPLE_MAX_N, so it is refused before any draw
         code, out, err = run_cli(
             capsys, "sample", "--n", "99999999999999999999", "--seed", "1"
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_size_past_the_ceiling_is_refused_before_any_draw(self, capsys, monkeypatch):
+        import catalan_lab.cli as cli_mod
+        from catalan_lab.limits import SAMPLE_MAX_N
+
+        drawn = []
+        monkeypatch.setattr(
+            cli_mod, "random_dyck_text", lambda n, rng: drawn.append(n) or "UD"
+        )
+        code, out, err = run_cli(
+            capsys, "sample", "--n", str(SAMPLE_MAX_N + 1), "--seed", "1"
+        )
+        assert (code, out, drawn) == (2, "", [])
+        assert err == (
+            f"error: sample size must be at most {SAMPLE_MAX_N}, "
+            f"got {SAMPLE_MAX_N + 1}\n"
+        )
+        # the ceiling itself is drawn, here by the stand-in
+        code, out, _ = run_cli(capsys, "sample", "--n", str(SAMPLE_MAX_N), "--seed", "1")
+        assert (code, out, drawn) == (0, "UD\n", [SAMPLE_MAX_N])
 
     def test_draws_are_valid(self, capsys):
         from catalan_lab import Path, is_dyck

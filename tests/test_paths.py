@@ -36,6 +36,7 @@ from catalan_lab import (
     sym_valley_remove,
     units,
 )
+from catalan_lab.paths import FACTORS
 from catalan_lab.verify import BIJECTIONS, marked_set
 
 P = Path.from_string
@@ -632,6 +633,23 @@ class TestUnits:
     def test_non_dyck_rejected(self):
         with pytest.raises(ValueError):
             units(P("DU"))
+
+
+class TestFactors:
+    @pytest.mark.parametrize("name", list(FACTORS))
+    def test_marks_are_the_filtered_occurrences(self, name):
+        factor = FACTORS[name]
+        filters = {"min_end_height": factor.min_end_height, "terminal": factor.terminal}
+        for n in range(8):
+            for p in enumerate_dyck(n):
+                hits = factor_occurrences(p, factor.steps, **filters)
+                marks = factor.marks(p)
+                assert marks == [MarkedPath(p, i, len(factor.steps)) for i in hits]
+                assert factor.count(p) == len(marks)
+
+    def test_ddu_udu_counts_read_the_table(self, monkeypatch):
+        monkeypatch.setitem(FACTORS, "udu", FACTORS["uu"])
+        assert ddu_udu_counts(P("UUDDUD")) == (1, 1)
 
 
 class TestDduUduCounts:

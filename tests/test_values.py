@@ -25,8 +25,8 @@ from catalan_lab import (
 from catalan_lab.formulas import Identity, _catalan_peak_sum
 from catalan_lab.oeis import OeisBinding
 from catalan_lab.path_classes import ImageRecord, MarkedClass, PathClass
-from catalan_lab.paths import _Value
-from catalan_lab.verify import Bijection, _FactorMarks
+from catalan_lab.paths import Factor, _Value
+from catalan_lab.verify import Bijection
 
 
 def _sizes(n_max):
@@ -93,9 +93,9 @@ FROZEN = [
         f"domain={_sizes!r}, draw_input=None)",
     ),
     (
-        _FactorMarks,
-        {"pattern": (U,), "min_end_height": 2},
-        "_FactorMarks(pattern=(1,), min_end_height=2)",
+        Factor,
+        {"steps": (U,), "min_end_height": 2, "terminal": None},
+        "Factor(steps=(1,), min_end_height=2, terminal=None)",
     ),
     (
         PathClass,

@@ -168,6 +168,37 @@ def test_broken_factor_count_fails_only_its_readers(monkeypatch, name):
     ]
 
 
+def test_factor_counts_are_the_table_counts():
+    # a dict with these keys in this order, whose entries the tests above
+    # replace; each entry is its paths.FACTORS entry's count
+    assert type(FACTOR_COUNTS) is dict
+    assert list(FACTOR_COUNTS) == [
+        "uu", "ddu", "udu", "uuddu", "uudd non-terminal", "deep-valley"
+    ]
+    for name, count in FACTOR_COUNTS.items():
+        assert count.__self__ is paths.FACTORS[name], name
+
+
+@pytest.mark.parametrize("name", ["uu", "udu", "ddu", "uuddu", "high-up", "high-down"])
+def test_split_reverse_entry_marks_its_table_entry(name):
+    # BIJECTIONS is built on import, so each entry holds its factor itself
+    assert BIJECTIONS[name].marks.__self__ is paths.FACTORS[name]
+
+
+def test_high_up_entry_is_read_by_the_marks_and_the_valley(monkeypatch):
+    # marks that end at height three or more: the high up marks fall below
+    # their closed form from n = 2, and the valley insertion misses every
+    # valley made after an up step that ends at height two
+    high = paths.Factor((U,), min_end_height=3)
+    monkeypatch.setitem(paths.FACTORS, "high-up", high)
+    report = verify_bijections(6)
+    assert [desc for desc, _, _ in report.failures] == [
+        f"valley insert image set n={n} ell={ell}"
+        for n in range(4, 7)
+        for ell in range(1, n - 2)
+    ] + [f"high up marks n={n}" for n in range(2, 7)]
+
+
 # the TRANSPORT lines whose count is one FACTOR_COUNTS entry alone; the marked
 # factor counts read the closed forms of their statistics
 ONE_FACTOR_LINES = {"ell-valley 1", "sym-peak 1", "ell-peak 1", "descents as DDU"}
